@@ -13,6 +13,7 @@ unless --json -o PATH is given.
 import argparse
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .counting import CountProblem, rational_curve_count
@@ -26,7 +27,7 @@ from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition
 from .plane_curves import kontsevich_nd, nd_values
-from .quantum import QuantumClass, quantum_product
+from .quantum import QuantumClass, format_terms, quantum_product
 from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, parse_space
 
@@ -103,11 +104,7 @@ def _class_arg(text: str, space: Grassmannian) -> Partition:
     if text.strip() == "pt":
         return space.point_class()
     p = parse_partition(text)
-    if not space.in_box(p):
-        raise BoxError(
-            f"partition {text.strip()} does not fit the {space.m}x{space.box_cols} "
-            f"box of {space.notation}"
-        )
+    space.require_in_box(p)
     return p
 
 
@@ -118,25 +115,8 @@ def _terms_json(qc: QuantumClass) -> list[dict]:
     ]
 
 
-def _format_terms(terms: list[dict]) -> str:
-    """Render a JSON term array as the text form, e.g. "s[2,2] + q*1"."""
-    if not terms:
-        return "0"
-    pieces = []
-    for term in terms:
-        factors = []
-        if term["coeff"] != 1:
-            factors.append(str(term["coeff"]))
-        if term["q"] == 1:
-            factors.append("q")
-        elif term["q"] > 1:
-            factors.append(f"q^{term['q']}")
-        if term["partition"] != "0":
-            factors.append(f"s[{term['partition']}]")
-        elif term["q"] > 0:
-            factors.append("1")
-        pieces.append("*".join(factors) if factors else "1")
-    return " + ".join(pieces)
+# a JSON term as the (q power, partition text, coefficient) triple format_terms takes
+_TERM_FIELDS = itemgetter("q", "partition", "coeff")
 
 
 # -- command handlers: each returns (payload, space, exit_code) ------------
@@ -218,11 +198,7 @@ def _cmd_gw(args):
     if args.degree == 0:
         if len(insertions) != 3:
             raise NotComputableError("degree-0 invariants are computed for exactly 3 insertions")
-        if not query.is_balanced():
-            raise UnbalancedQueryError(
-                f"codimensions sum to {query.total_codim()}, moduli dimension is "
-                f"{space.moduli_dimension(3, 0)}"
-            )
+        query.require_balanced()
         value = gw_3point(space, insertions[0], insertions[1], insertions[2], 0)
     else:
         value = gw_spoint(query)
@@ -306,9 +282,9 @@ _TEXT_RENDERERS = {
     "info": _render_info,
     "basis": lambda payload: list(payload["partitions"]),
     "lr": lambda payload: [str(payload["coefficient"])],
-    "qmul": lambda payload: [_format_terms(payload["terms"])],
+    "qmul": lambda payload: [format_terms(map(_TERM_FIELDS, payload["terms"]))],
     "qtable": lambda payload: [
-        f"s[{row['left']}] * s[{row['right']}] = {_format_terms(row['terms'])}"
+        f"s[{row['left']}] * s[{row['right']}] = {format_terms(map(_TERM_FIELDS, row['terms']))}"
         for row in payload["rows"]
     ],
     "gw": lambda payload: [str(payload["value"])],
@@ -327,6 +303,8 @@ def render_text(command: str, payload: dict) -> list[str]:
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # N_d outgrows the default 4,300-digit limit at d = 572
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

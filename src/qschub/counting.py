@@ -11,7 +11,6 @@ by d per divisor condition).
 
 from dataclasses import dataclass
 
-from .errors import UnbalancedQueryError
 from .gromov_witten import GWQuery, gw_spoint
 from .partitions import Partition, weight
 from .spaces import Grassmannian
@@ -51,14 +50,3 @@ def rational_curve_count(problem: CountProblem) -> CountResult:
             f"invariant {value} is not divisible by d^r = {scale}; this is a bug"
         )
     return CountResult(value, r, value // scale)
-
-
-def check_balanced(space: Grassmannian, degree: int, conditions: tuple[Partition, ...]) -> None:
-    """Raise UnbalancedQueryError unless the condition codimensions sum to
-    the moduli dimension (convenience for front ends that validate early)."""
-    query = GWQuery(space, degree, conditions)
-    if not query.is_balanced():
-        raise UnbalancedQueryError(
-            f"codimensions sum to {query.total_codim()}, moduli dimension is "
-            f"{space.moduli_dimension(len(conditions), degree)}"
-        )

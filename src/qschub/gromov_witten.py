@@ -12,8 +12,8 @@ point classes equals the number N_d of degree-d rational plane curves.
 
 from dataclasses import dataclass
 
-from .errors import BoxError, NotComputableError, UnbalancedQueryError
-from .partitions import Partition, format_partition, weight
+from .errors import NotComputableError, UnbalancedQueryError
+from .partitions import Partition, weight
 from .plane_curves import kontsevich_nd
 from .quantum import quantum_product
 from .spaces import Grassmannian, grassmannian, require_type_a
@@ -36,10 +36,9 @@ def gw_3point(
     """
     require_type_a(space)
     for p in (first, second, third):
-        if not space.in_box(p):
-            raise BoxError(f"partition {format_partition(p)} does not fit the box of {space.notation}")
+        space.require_in_box(p)
     if d < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ValueError(f"degree must be >= 0, got {d}")
     if weight(first) + weight(second) + weight(third) != space.moduli_dimension(3, d):
         return 0
     return quantum_product(first, second, space).coefficient(d, space.dual(third))
@@ -55,6 +54,10 @@ class GWQuery:
     degree: int
     insertions: tuple[Partition, ...]
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+
     def total_codim(self) -> int:
         return sum(weight(p) for p in self.insertions)
 
@@ -62,6 +65,15 @@ class GWQuery:
         return self.total_codim() == self.space.moduli_dimension(
             len(self.insertions), self.degree
         )
+
+    def require_balanced(self) -> None:
+        """Raise UnbalancedQueryError unless the codimensions sum to the
+        moduli dimension."""
+        if not self.is_balanced():
+            raise UnbalancedQueryError(
+                f"codimensions sum to {self.total_codim()}, moduli dimension is "
+                f"{self.space.moduli_dimension(len(self.insertions), self.degree)}"
+            )
 
 
 def gw_spoint(query: GWQuery) -> int:
@@ -82,13 +94,8 @@ def gw_spoint(query: GWQuery) -> int:
     if not query.insertions:
         raise ValueError("at least one insertion is required")
     for p in query.insertions:
-        if not space.in_box(p):
-            raise BoxError(f"partition {format_partition(p)} does not fit the box of {space.notation}")
-    if not query.is_balanced():
-        raise UnbalancedQueryError(
-            f"codimensions sum to {query.total_codim()}, moduli dimension is "
-            f"{space.moduli_dimension(len(query.insertions), d)}"
-        )
+        space.require_in_box(p)
+    query.require_balanced()
     if any(p == () for p in query.insertions):
         return 0
     rest = [p for p in query.insertions if p != DIVISOR]

@@ -1,39 +1,65 @@
-"""Littlewood-Richardson coefficients by direct tableau enumeration.
+"""Littlewood-Richardson coefficients, built strip by strip.
 
 This is the classical substrate for the quantum product and the brute-force
 oracle for every product identity in the test suites.  The coefficient
-c^nu_{lam,mu} is computed as the number of semistandard fillings of the
-skew shape nu/lam with content mu whose reverse reading word (right to
-left, top to bottom) is a lattice word.  The search visits cells in exactly
-that reading order, so the lattice condition prunes branches as early as
-possible.
+c^nu_{lam,mu} counts the semistandard fillings of the skew shape nu/lam with
+content mu whose reverse reading word (right to left, top to bottom) is a
+lattice word.  Such a filling is grown from lam one letter at a time: the
+mu_i cells holding i form a horizontal strip added to the shape filled so
+far, and the reading word stays lattice exactly when, for every row r, the
+i's in rows <= r number at most the (i-1)'s in rows < r.  Fillings that
+agree on the current shape and on where the last strip went have the same
+continuations, so they are merged and counted together; one pass over mu
+yields every outer shape nu with its coefficient.
 """
 
-import os
-from functools import lru_cache
-
-from .errors import BoxError
-from .partitions import (
-    Partition,
-    contains,
-    part,
-    partitions_of_weight,
-    weight,
-)
+from .partitions import Partition, contains, weight
 from .spaces import Grassmannian, require_type_a
 
 LRExpansion = dict[Partition, int]
 
-_DEFAULT_CACHE_SIZE = 1 << 16
+
+def _strips(shape: Partition, size: int, bound: Partition, ceiling: Partition):
+    """Every horizontal strip of `size` cells added to `shape` (padded to
+    len(bound) rows) with row r at most bound[r] long and at most
+    ceiling[r] strip cells in rows 0..r.  Yields the grown shape and the
+    ceiling for the next letter: the strip cells in the rows above each row."""
+    rows = len(shape)
+
+    def grow(r: int, placed: int, grown: Partition, above: Partition):
+        if placed == size:
+            yield grown + shape[r:], above + (size,) * (rows - r)
+            return
+        if r == rows:
+            return
+        room = min(bound[r], shape[r - 1] if r else bound[r]) - shape[r]
+        for k in range(min(room, size - placed, ceiling[r] - placed), -1, -1):
+            yield from grow(r + 1, placed + k, grown + (shape[r] + k,), above + (placed,))
+
+    return grow(0, 0, (), ())
 
 
-def _cache_size() -> int:
-    """Expansion cache bound; override with QSCHUB_CACHE_SIZE."""
-    raw = os.environ.get("QSCHUB_CACHE_SIZE", "")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return _DEFAULT_CACHE_SIZE
+def _lr_expand(lam: Partition, mu: Partition, bound: Partition) -> LRExpansion:
+    """The LR fillings of content mu on top of lam, counted by outer shape,
+    for the shapes with at most len(bound) rows whose row r is at most
+    bound[r] long.  Each row of lam must fit its bound."""
+    rows = len(bound)
+    if len(lam) > rows:
+        return {}
+    start = lam + (0,) * (rows - len(lam))
+    # the first letter has no lattice condition: let it fill any row
+    states = {(start, (weight(mu),) * rows): 1}
+    for size in mu:
+        grown: dict[tuple[Partition, Partition], int] = {}
+        for (shape, ceiling), count in states.items():
+            for key in _strips(shape, size, bound, ceiling):
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    out: LRExpansion = {}
+    for (shape, _), count in states.items():
+        nu = tuple(x for x in shape if x)
+        out[nu] = out.get(nu, 0) + count
+    return out
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -46,70 +72,13 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """
     if weight(nu) != weight(lam) + weight(mu) or not contains(nu, lam):
         return 0
-    nrows = len(nu)
-    nvals = len(mu)
-    inner = [part(lam, r) for r in range(nrows)]
-    cells = [
-        (r, c) for r in range(nrows) for c in range(nu[r] - 1, inner[r] - 1, -1)
-    ]
-    grid = [[0] * nu[r] for r in range(nrows)]
-    counts = [0] * (nvals + 2)
-    found = 0
-
-    def fill(t: int) -> None:
-        nonlocal found
-        if t == len(cells):
-            found += 1
-            return
-        r, c = cells[t]
-        hi = nvals
-        if c + 1 < nu[r]:
-            hi = min(hi, grid[r][c + 1])  # weakly increasing along the row
-        lo = 1
-        if r > 0 and c >= inner[r - 1]:
-            lo = grid[r - 1][c] + 1  # strictly increasing down the column
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # would break the lattice prefix condition
-            grid[r][c] = v
-            counts[v] += 1
-            fill(t + 1)
-            counts[v] -= 1
-        grid[r][c] = 0
-
-    fill(0)
-    return found
-
-
-@lru_cache(maxsize=_cache_size())
-def _schur_terms(lam: Partition, mu: Partition, max_rows: int):
-    maxpart = part(lam, 0) + part(mu, 0)
-    out = []
-    for nu in partitions_of_weight(weight(lam) + weight(mu), max_rows, maxpart):
-        if not contains(nu, lam):
-            continue
-        coeff = lr_coefficient(lam, mu, nu)
-        if coeff:
-            out.append((nu, coeff))
-    return tuple(sorted(out))
+    return _lr_expand(lam, mu, nu).get(nu, 0)
 
 
 def schur_product(lam: Partition, mu: Partition, max_rows: int) -> LRExpansion:
     """Expansion of the product of two Schur functions in the Schur basis,
-    truncated to partitions with at most max_rows rows.  Results are
-    memoized (bounded cache, see QSCHUB_CACHE_SIZE)."""
-    return dict(_schur_terms(lam, mu, max_rows))
-
-
-def schur_product_uncached(lam: Partition, mu: Partition, max_rows: int) -> LRExpansion:
-    """Same as schur_product but bypassing the memo cache."""
-    return dict(_schur_terms.__wrapped__(lam, mu, max_rows))
-
-
-def clear_cache() -> None:
-    _schur_terms.cache_clear()
+    truncated to partitions with at most max_rows rows."""
+    return _lr_expand(lam, mu, (weight(lam) + weight(mu),) * max_rows)
 
 
 def classical_structure_constants(
@@ -118,11 +87,6 @@ def classical_structure_constants(
     """schur_product restricted to the Schubert basis of the space: only
     partitions inside the m x (n-m) box survive."""
     require_type_a(space)
-    for p in (lam, mu):
-        if not space.in_box(p):
-            raise BoxError(f"partition {p} does not fit the box of {space.notation}")
-    return {
-        nu: coeff
-        for nu, coeff in schur_product(lam, mu, space.m).items()
-        if space.in_box(nu)
-    }
+    space.require_in_box(lam)
+    space.require_in_box(mu)
+    return _lr_expand(lam, mu, (space.box_cols,) * space.m)

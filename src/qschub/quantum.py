@@ -11,7 +11,7 @@ the two must agree wherever both apply.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoxError
 from .lr import classical_structure_constants, schur_product
@@ -109,8 +109,7 @@ class QuantumClass:
     @classmethod
     def from_partition(cls, space: Grassmannian, p: Partition) -> "QuantumClass":
         require_type_a(space)
-        if not space.in_box(p):
-            raise BoxError(f"partition {format_partition(p)} does not fit the box of {space.notation}")
+        space.require_in_box(p)
         return cls(space, {(0, p): 1})
 
     @classmethod
@@ -153,31 +152,27 @@ class QuantumClass:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for d, p, c in self.sorted_terms():
-            factors = []
-            if c != 1:
-                factors.append(str(c))
-            if d == 1:
-                factors.append("q")
-            elif d > 1:
-                factors.append(f"q^{d}")
-            if p:
-                factors.append(f"s[{format_partition(p)}]")
-            elif d > 0:
-                factors.append("1")  # the unit stays visible next to q
-            pieces.append("*".join(factors) if factors else "1")
-        return " + ".join(pieces)
+        return format_terms((d, format_partition(p), c) for d, p, c in self.sorted_terms())
 
 
-def _require_in_box(space: Grassmannian, p: Partition) -> None:
-    if not space.in_box(p):
-        raise BoxError(
-            f"partition {format_partition(p)} does not fit the "
-            f"{space.m}x{space.box_cols} box of {space.notation}"
-        )
+def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
+    """The text form of a class from its (q power, partition text,
+    coefficient) terms, e.g. "s[2,2] + q*1"; "0" when there are none."""
+    pieces = []
+    for d, p, c in terms:
+        factors = []
+        if c != 1:
+            factors.append(str(c))
+        if d == 1:
+            factors.append("q")
+        elif d > 1:
+            factors.append(f"q^{d}")
+        if p != "0":
+            factors.append(f"s[{p}]")
+        elif d > 0:
+            factors.append("1")  # the unit stays visible next to q
+        pieces.append("*".join(factors) if factors else "1")
+    return " + ".join(pieces) or "0"
 
 
 @lru_cache(maxsize=1 << 16)
@@ -197,8 +192,8 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     of the classical expansion.  All surviving coefficients are genus-zero
     three-point Gromov-Witten invariants, hence positive."""
     require_type_a(space)
-    _require_in_box(space, lam)
-    _require_in_box(space, mu)
+    space.require_in_box(lam)
+    space.require_in_box(mu)
     return QuantumClass(space, dict(_product_terms(lam, mu, space)))
 
 
@@ -229,7 +224,7 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     require_type_a(space)
     if not 1 <= p <= space.box_cols:
         raise ValueError(f"row length {p} out of range 1..{space.box_cols} for {space.notation}")
-    _require_in_box(space, lam)
+    space.require_in_box(lam)
     terms: dict[tuple[int, Partition], int] = {}
     target = weight(lam) + p
     for mu in space.basis():
@@ -242,12 +237,6 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     return QuantumClass(space, terms)
 
 
-def classical_part(qc: QuantumClass) -> dict[Partition, int]:
-    """The q^0 layer of a class; for a product of basis classes this equals
-    classical_structure_constants."""
-    return qc.q_part(0)
-
-
 def clear_cache() -> None:
     _product_terms.cache_clear()
 
@@ -255,9 +244,9 @@ def clear_cache() -> None:
 __all__ = [
     "QuantumClass",
     "ReductionOutcome",
-    "classical_part",
     "classical_structure_constants",
     "clear_cache",
+    "format_terms",
     "quantum_pieri",
     "quantum_product",
     "remove_rim_hook",

@@ -14,8 +14,8 @@ deliberately raises UnsupportedFamilyError instead of guessing:
 import re
 from dataclasses import dataclass
 
-from .errors import DegreeRangeError, UnsupportedFamilyError
-from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box
+from .errors import BoxError, DegreeRangeError, UnsupportedFamilyError
+from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box, format_partition
 
 _FAMILIES = frozenset("ABCD")
 
@@ -36,6 +36,8 @@ class Grassmannian:
             raise ValueError(
                 f"family {self.family} requires 1 <= m <= {hi}, got m={self.m}, n={self.n}"
             )
+        if self.family == "D" and self.n == 0:
+            raise ValueError(f"{self.notation} is two points, not a Grassmannian")
 
     @property
     def notation(self) -> str:
@@ -114,6 +116,14 @@ class Grassmannian:
 
     def in_box(self, p: Partition) -> bool:
         return fits_in_box(p, self.m, self.box_cols)
+
+    def require_in_box(self, p: Partition) -> None:
+        """Raise BoxError unless p indexes a Schubert class of the space."""
+        if not self.in_box(p):
+            raise BoxError(
+                f"partition {format_partition(p)} does not fit the "
+                f"{self.m}x{self.box_cols} box of {self.notation}"
+            )
 
     def basis(self) -> list[Partition]:
         """Schubert basis indices in deterministic order."""

@@ -8,7 +8,7 @@ import sys
 import time
 from itertools import combinations_with_replacement
 
-from qschub import lr, quantum
+from qschub import quantum
 from qschub.counting import CountProblem, rational_curve_count
 from qschub.errors import NotComputableError
 from qschub.gromov_witten import gw_3point
@@ -39,7 +39,6 @@ def _report(num: int, ok: bool, label: str) -> None:
 
 
 def _cold_caches() -> None:
-    lr.clear_cache()
     quantum.clear_cache()
 
 

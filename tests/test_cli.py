@@ -73,6 +73,19 @@ def test_nd_single_and_table(capsys):
     assert out == "1: 1\n2: 1\n3: 12\n4: 620\n"
 
 
+def test_nd_prints_integers_past_the_str_digit_limit(capsys, monkeypatch):
+    from qschub import cli
+
+    big = 7 * 10**4999 + 1
+    monkeypatch.setattr(cli, "kontsevich_nd", lambda d: big)
+    code, out, err = run(capsys, "nd", "5")
+    assert (code, err) == (0, "")
+    assert out == f"{big}\n"
+    code, out, err = run(capsys, "nd", "5", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["value"] == big
+
+
 def test_nd_needs_exactly_one_mode(capsys):
     code, _, err = run(capsys, "nd")
     assert code == 2 and err.startswith("error:")
@@ -121,11 +134,18 @@ def test_parse_errors_exit_2(capsys):
         ["qmul", "G(2,4)", "x", "1"],
         ["lr", "1,2", "1", "1"],
         ["unknowncmd"],
+        ["info", "OG(1,2)"],
+        ["gw", "G(2,4)", "-d", "-1", "2,2", "1,1", "2"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
         assert len(err.strip().splitlines()) == 1, argv
+
+
+def test_negative_degree_names_the_input(capsys):
+    code, _, err = run(capsys, "gw", "G(2,4)", "-d", "-1", "2,2", "1,1", "2")
+    assert (code, err) == (2, "error: degree must be >= 0, got -1\n")
 
 
 def test_box_violation_exits_3(capsys):

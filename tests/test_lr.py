@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub.errors import BoxError
-from qschub.lr import (
-    classical_structure_constants,
-    clear_cache,
-    lr_coefficient,
-    schur_product,
-    schur_product_uncached,
-)
+from qschub.lr import classical_structure_constants, lr_coefficient, schur_product
 from qschub.partitions import (
     conjugate,
     dual_in_box,
@@ -22,7 +16,7 @@ from qschub.partitions import (
 )
 from qschub.spaces import grassmannian, parse_space
 
-from oracles import schur_product_oracle
+from oracles import lr_coefficient_oracle, schur_product_oracle
 
 small_partitions = st.lists(st.integers(1, 4), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -68,6 +62,21 @@ def test_empty_factor_is_identity():
 def test_full_expansion_matches_monomial_oracle(lam, mu):
     rows = len(lam) + len(mu) or 1
     assert schur_product(lam, mu, rows) == schur_product_oracle(lam, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_partitions, oracle_partitions, st.data())
+def test_coefficient_matches_oracle_inside_and_outside_expansion(lam, mu, data):
+    # lr_coefficient bounds its search by nu, a path schur_product never takes
+    expansion = schur_product_oracle(lam, mu)
+    total = weight(lam) + weight(mu)
+    same_weight = partitions_of_weight(total, total or 1, total or 1)
+    outside = [nu for nu in same_weight if nu not in expansion]
+    nus = [data.draw(st.sampled_from(sorted(expansion)))]
+    if outside:
+        nus.append(data.draw(st.sampled_from(outside)))
+    for nu in nus:
+        assert lr_coefficient(lam, mu, nu) == lr_coefficient_oracle(lam, mu, nu)
 
 
 @pytest.mark.parametrize(
@@ -132,24 +141,3 @@ def test_classical_structure_constants_validates():
 
     with pytest.raises(UnsupportedFamilyError):
         classical_structure_constants(parse_space("IG(2,6)"), (1,), (1,))
-
-
-def test_cached_and_uncached_paths_agree():
-    clear_cache()
-    pairs = [((2, 1), (2, 1)), ((3, 2), (2, 2)), ((1,), (1, 1))]
-    for lam, mu in pairs:
-        assert schur_product(lam, mu, 4) == schur_product_uncached(lam, mu, 4)
-    clear_cache()
-    for lam, mu in pairs:
-        assert schur_product(lam, mu, 4) == schur_product_uncached(lam, mu, 4)
-
-
-def test_cache_size_env(monkeypatch):
-    from qschub import lr
-
-    monkeypatch.setenv("QSCHUB_CACHE_SIZE", "1234")
-    assert lr._cache_size() == 1234
-    monkeypatch.setenv("QSCHUB_CACHE_SIZE", "junk")
-    assert lr._cache_size() == lr._DEFAULT_CACHE_SIZE
-    monkeypatch.delenv("QSCHUB_CACHE_SIZE")
-    assert lr._cache_size() == lr._DEFAULT_CACHE_SIZE
