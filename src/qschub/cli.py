@@ -2,12 +2,13 @@
 
 Subcommands: info, basis, lr, qmul, qtable, gw, count, nd, selfcheck.
 Every command is total and exits with a defined code: 0 success, 1 failed
-selfcheck, 2 parse error, 3 dimension/balance mismatch, 4 not computable
-(out-of-scope query).  Errors print a single machine-greppable line to
-stderr.  Each command builds one result payload; the text mode renders that
-payload and the --json mode wraps it in a stable versioned document, so the
-two encodings always carry identical data.  Nothing is written to disk
-unless --json -o PATH is given.
+selfcheck, 2 parse error or unwritable -o PATH, 3 dimension/balance
+mismatch, 4 not computable (out-of-scope query or over a work limit).
+Errors print a single machine-greppable line to stderr.  Each command
+builds one result payload; the text mode renders that payload and the
+--json mode wraps it in a stable versioned document, so the two encodings
+always carry identical data.  Nothing is written to disk unless
+--json -o PATH is given.
 """
 
 import argparse
@@ -314,30 +315,30 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return 2
     try:
         payload, space, code = _HANDLERS[args.command](args)
+        if args.json:
+            doc = {
+                "schema": SCHEMA_VERSION,
+                "command": args.command,
+                "space": space.to_json() if space is not None else None,
+                "result": payload,
+            }
+            text = json.dumps(doc, indent=2)
+            if args.output:
+                Path(args.output).write_text(text + "\n", encoding="utf-8")
+            else:
+                print(text)
+        else:
+            for line in render_text(args.command, payload):
+                print(line)
     except (UnsupportedFamilyError, NotComputableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (BoxError, UnbalancedQueryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "space": space.to_json() if space is not None else None,
-            "result": payload,
-        }
-        text = json.dumps(doc, indent=2)
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
-    else:
-        for line in render_text(args.command, payload):
-            print(line)
     return code
 
 

@@ -9,10 +9,16 @@ quantum product of the plane determines every higher value:
           N_a * N_b * a^2 * b * (b * C(3d-4, 3a-2) - a * C(3d-4, 3a-1))
 
 All arithmetic is exact; the values grow fast (N_12 has 27 digits) and are
-kept in a dense memo table.
+kept in a dense memo table.  The recursion costs about d^2 big-integer
+products, so degrees above MAX_ND_DEGREE are refused rather than left to run
+for minutes.
 """
 
 from math import comb
+
+from .errors import NotComputableError
+
+MAX_ND_DEGREE = 500  # N_500 takes about 11 s; N_1000 about two minutes
 
 _table: list[int] = [0, 1]  # _table[d] = N_d; index 0 is unused
 
@@ -22,6 +28,10 @@ def kontsevich_nd(d: int) -> int:
     general points, by the associativity recursion from N_1 = 1."""
     if d < 1:
         raise ValueError("degree must be at least 1")
+    if d > MAX_ND_DEGREE:
+        raise NotComputableError(
+            f"N_d is computed for d <= {MAX_ND_DEGREE} (work limit), got {d}"
+        )
     while len(_table) <= d:
         e = len(_table)
         total = 0
@@ -38,7 +48,9 @@ def kontsevich_nd(d: int) -> int:
 
 
 def nd_values(up_to: int) -> list[tuple[int, int]]:
-    """The pairs (d, N_d) for d = 1..up_to."""
+    """The pairs (d, N_d) for d = 1..up_to; up_to is checked like a degree
+    before any work."""
+    kontsevich_nd(up_to)
     return [(d, kontsevich_nd(d)) for d in range(1, up_to + 1)]
 
 

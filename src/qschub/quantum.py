@@ -1,12 +1,16 @@
 """The small quantum cohomology ring of an ordinary Grassmannian.
 
 Products of Schubert classes are computed by reducing the classical
-Littlewood-Richardson expansion modulo n-rim-hooks: every border strip of
-exactly n cells removed from an index partition contributes one power of q
-and a sign (-1)**(m - height).  An expansion term whose n-core does not fit
-the m x (n-m) box contributes nothing.  The quantum Pieri rule is
-implemented independently and serves as a cross-check on the rim-hook path;
-the two must agree wherever both apply.
+Littlewood-Richardson expansion modulo n-rim-hooks (Bertram, Ciocan-Fontanine
+and Fulton): every border strip of exactly n cells removed from an index
+partition contributes one power of q and a sign (-1)**(m - height).  On an
+n-runner abacus of the m beta-numbers nu_i + m - i, removing a strip moves
+one bead n places up its runner, so the whole reduction is read off in
+closed form: each bead drops to its residue mod n.  An expansion term whose
+n-core does not fit the m x (n-m) box, i.e. two beads share a runner,
+contributes nothing.  The quantum Pieri rule is implemented independently
+and serves as a cross-check on the rim-hook path; the two must agree
+wherever both apply.
 """
 
 from dataclasses import dataclass, field
@@ -15,13 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoxError
 from .lr import classical_structure_constants, schur_product
-from .partitions import (
-    Partition,
-    conjugate,
-    format_partition,
-    is_horizontal_strip,
-    weight,
-)
+from .partitions import Partition, format_partition, is_horizontal_strip, weight
 from .spaces import Grassmannian, require_type_a
 
 
@@ -35,63 +33,37 @@ class ReductionOutcome(NamedTuple):
     core: Partition
 
 
-def removable_hooks(nu: Partition, strip_size: int) -> list[tuple[int, int]]:
-    """Cells (row, col) of nu, 0-indexed, whose hook length equals
-    strip_size.  Each names one removable border strip of that many cells;
-    the strip's head sits at the end of `row`.  At most one cell per row
-    qualifies, and the list is ordered by row."""
-    conj = conjugate(nu)
-    found = []
-    for i, row_len in enumerate(nu):
-        for j in range(row_len):
-            if (row_len - j) + (conj[j] - i) - 1 == strip_size:
-                found.append((i, j))
-    return found
-
-
-def remove_rim_hook(nu: Partition, cell: tuple[int, int]) -> tuple[Partition, int]:
-    """Peel the border strip running from the end of row cell[0] back to
-    column cell[1]; returns (smaller partition, number of rows occupied)."""
-    i, j = cell
-    last = sum(1 for x in nu if x > j) - 1  # lowest row meeting column j
-    parts = list(nu)
-    for r in range(i, last):
-        parts[r] = nu[r + 1] - 1
-    parts[last] = j
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts), last - i + 1
-
-
-def _hook_sign(m: int, height: int) -> int:
-    return -1 if (m - height) % 2 else 1
+def _reduction_sign(m: int, q_power: int, passes: int) -> int:
+    """The total sign of q_power strip removals.  Each strip contributes
+    (-1)**(m - height), and its height - 1 is the number of beads its bead
+    move passes; `passes` is that number summed over the moves (mod 2)."""
+    return -1 if (q_power * (m - 1) + passes) % 2 else 1
 
 
 def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | None:
     """Reduce nu modulo n-rim-hooks for the given G(m, n).
 
-    Strips of n cells are removed until none remains; each removal picks the
-    removable strip whose head lies in the highest row (the outcome is
-    independent of this choice, which the test suite verifies by exhausting
-    all removal orders).  Returns None when the resulting n-core does not
-    fit the m x (n-m) box, i.e. the term dies in the quantum ring.
+    With beta_i = nu_i + m - i (i = 1..m) and r_i = beta_i mod n, the
+    reduction removes q = sum(beta_i div n) strips, the core has parts
+    r_(i) - (m - i) for the r_i sorted decreasingly, and the bead moves pass
+    as many beads, mod 2, as there are pairs i < j with r_i < r_j.  Returns
+    None when two r_i coincide: the n-core does not fit the m x (n-m) box and
+    the term dies in the quantum ring.
     """
     require_type_a(space)
-    if len(nu) > space.m:
-        raise BoxError(f"partition {format_partition(nu)} has more than {space.m} rows")
-    q_power = 0
-    sign = 1
-    core = nu
-    while True:
-        hooks = removable_hooks(core, space.n)
-        if not hooks:
-            break
-        core, height = remove_rim_hook(core, hooks[0])
-        q_power += 1
-        sign *= _hook_sign(space.m, height)
-    if not space.in_box(core):
+    m, n = space.m, space.n
+    if len(nu) > m:
+        raise BoxError(f"partition {format_partition(nu)} has more than {m} rows")
+    beta = [part + m - 1 - i for i, part in enumerate(nu + (0,) * (m - len(nu)))]
+    runners = [b % n for b in beta]
+    if len(set(runners)) < m:
         return None
-    return ReductionOutcome(q_power, sign, core)
+    q_power = sum(b // n for b in beta)
+    passes = sum(r < s for i, r in enumerate(runners) for s in runners[i + 1:])
+    core = tuple(r - (m - 1 - i) for i, r in enumerate(sorted(runners, reverse=True)))
+    return ReductionOutcome(
+        q_power, _reduction_sign(m, q_power, passes), tuple(p for p in core if p)
+    )
 
 
 @dataclass
@@ -249,7 +221,5 @@ __all__ = [
     "format_terms",
     "quantum_pieri",
     "quantum_product",
-    "remove_rim_hook",
-    "removable_hooks",
     "rim_hook_reduce",
 ]

@@ -5,9 +5,14 @@ fillings of the straight shape (no skew shapes, no lattice words), products
 are multiplied as plain polynomials, and the result is re-expanded in the
 Schur basis by repeatedly subtracting the Schur polynomial of the leading
 exponent.  This exercises none of the code paths in qschub.lr.
+
+Rim-hook reduction is checked against a cell-by-cell search: hook lengths
+are read off the Young diagram, strips are peeled one at a time, and every
+removal order is tried.  This shares nothing with the library's abacus.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 
 def schur_monomials(shape, nvars):
@@ -102,3 +107,60 @@ def horizontal_strip_oracle(inner, outer):
         if boxes > 1:
             return False
     return True
+
+
+def removable_hooks(nu, strip_size):
+    """Cells (row, col) of nu, 0-indexed, whose hook length equals
+    strip_size.  Each names one removable border strip of that many cells;
+    the strip's head sits at the end of `row`.  At most one cell per row
+    qualifies, and the list is ordered by row."""
+    columns = [sum(1 for x in nu if x > j) for j in range(nu[0] if nu else 0)]
+    return [
+        (i, j)
+        for i, row_len in enumerate(nu)
+        for j in range(row_len)
+        if (row_len - j) + (columns[j] - i) - 1 == strip_size
+    ]
+
+
+def remove_rim_hook(nu, cell):
+    """Peel the border strip running from the end of row cell[0] back to
+    column cell[1]; returns (smaller partition, number of rows occupied)."""
+    i, j = cell
+    last = sum(1 for x in nu if x > j) - 1  # lowest row meeting column j
+    parts = list(nu)
+    for r in range(i, last):
+        parts[r] = nu[r + 1] - 1
+    parts[last] = j
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return tuple(parts), last - i + 1
+
+
+@lru_cache(maxsize=None)
+def rim_hook_outcomes(nu, n, m):
+    """Every (q_power, sign, core) reached by peeling n-rim-hooks off nu in
+    every possible order until none is left; a strip occupying h rows
+    contributes (-1)**(m - h)."""
+    hooks = removable_hooks(nu, n)
+    if not hooks:
+        return frozenset({(0, 1, nu)})
+    out = set()
+    for cell in hooks:
+        smaller, height = remove_rim_hook(nu, cell)
+        step_sign = -1 if (m - height) % 2 else 1
+        for d, sign, core in rim_hook_outcomes(smaller, n, m):
+            out.add((d + 1, sign * step_sign, core))
+    return frozenset(out)
+
+
+def rim_hook_reduce_oracle(nu, m, n):
+    """(q_power, sign, core) of nu reduced modulo n-rim-hooks for G(m, n), or
+    None when the core leaves the m x (n-m) box.  Asserts that every removal
+    order ends in the same place."""
+    outcomes = rim_hook_outcomes(tuple(nu), n, m)
+    assert len(outcomes) == 1, f"{nu} reduces to {sorted(outcomes)}"
+    d, sign, core = next(iter(outcomes))
+    if len(core) > m or (core and core[0] > n - m):
+        return None
+    return d, sign, core

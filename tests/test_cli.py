@@ -136,6 +136,9 @@ def test_parse_errors_exit_2(capsys):
         ["unknowncmd"],
         ["info", "OG(1,2)"],
         ["gw", "G(2,4)", "-d", "-1", "2,2", "1,1", "2"],
+        ["nd", "0"],
+        ["nd", "--upto", "0"],
+        ["nd", "--upto", "-3"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -146,6 +149,22 @@ def test_parse_errors_exit_2(capsys):
 def test_negative_degree_names_the_input(capsys):
     code, _, err = run(capsys, "gw", "G(2,4)", "-d", "-1", "2,2", "1,1", "2")
     assert (code, err) == (2, "error: degree must be >= 0, got -1\n")
+
+
+def test_nd_over_the_work_limit_exits_4(capsys):
+    from qschub.plane_curves import MAX_ND_DEGREE
+
+    over = str(MAX_ND_DEGREE + 1)
+    points = ["pt"] * (3 * (MAX_ND_DEGREE + 1) - 1)
+    for argv in (
+        ["nd", over],
+        ["nd", "--upto", over],
+        ["gw", "G(1,3)", "-d", over, *points],
+        ["count", "G(1,3)", "-d", over, *points],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv[:3]
+        assert err == f"error: N_d is computed for d <= 500 (work limit), got {over}\n"
 
 
 def test_box_violation_exits_3(capsys):
@@ -198,6 +217,15 @@ def test_json_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["result"] == {"d": 3, "value": 12}
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "x.json" if where == "missing" else tmp_path
+    code, out, err = run(capsys, "basis", "G(2,4)", "--json", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(target) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_output_flag_requires_json(tmp_path, capsys):

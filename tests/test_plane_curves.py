@@ -1,7 +1,9 @@
 import pytest
 
+from qschub import plane_curves
+from qschub.errors import NotComputableError
 from qschub.gromov_witten import gw_3point
-from qschub.plane_curves import kontsevich_nd, nd_values, reset_cache
+from qschub.plane_curves import MAX_ND_DEGREE, kontsevich_nd, nd_values, reset_cache
 from qschub.spaces import grassmannian
 
 
@@ -15,6 +17,18 @@ def test_first_values():
 def test_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
         kontsevich_nd(0)
+
+
+def test_work_limit_is_checked_before_any_work():
+    assert MAX_ND_DEGREE == 500
+    reset_cache()
+    with pytest.raises(NotComputableError, match="500"):
+        kontsevich_nd(MAX_ND_DEGREE + 1)
+    with pytest.raises(NotComputableError, match="500"):
+        nd_values(MAX_ND_DEGREE + 1)
+    with pytest.raises(ValueError):
+        nd_values(0)
+    assert plane_curves._table == [0, 1]  # nothing was computed
 
 
 def test_strictly_increasing_from_degree_3():

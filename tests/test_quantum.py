@@ -2,6 +2,8 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschub.errors import BoxError, UnsupportedFamilyError
 from qschub.lr import classical_structure_constants
@@ -9,14 +11,13 @@ from qschub.partitions import partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
     ReductionOutcome,
-    _hook_sign,
     quantum_pieri,
     quantum_product,
-    removable_hooks,
-    remove_rim_hook,
     rim_hook_reduce,
 )
 from qschub.spaces import grassmannian, parse_space
+
+from oracles import remove_rim_hook, removable_hooks, rim_hook_reduce_oracle
 
 G24 = grassmannian(2, 4)
 G25 = grassmannian(2, 5)
@@ -59,26 +60,25 @@ def test_remove_rim_hook():
     assert remove_rim_hook((4,), (0, 0)) == ((), 1)
 
 
-def _all_outcomes(nu, strip_size, m):
-    hooks = removable_hooks(nu, strip_size)
-    if not hooks:
-        return {(0, 1, nu)}
-    out = set()
-    for cell in hooks:
-        smaller, height = remove_rim_hook(nu, cell)
-        for d, sign, core in _all_outcomes(smaller, strip_size, m):
-            out.add((d + 1, sign * _hook_sign(m, height), core))
-    return out
-
-
 def test_reduction_is_order_independent_small():
     for w in range(13):
         for nu in partitions_of_weight(w, 3, 6):
-            outcomes = _all_outcomes(nu, G36.n, G36.m)
-            assert len(outcomes) == 1, (nu, outcomes)
-            d, sign, core = next(iter(outcomes))
-            expected = ReductionOutcome(d, sign, core) if G36.in_box(core) else None
-            assert rim_hook_reduce(nu, G36) == expected
+            assert rim_hook_reduce(nu, G36) == rim_hook_reduce_oracle(nu, G36.m, G36.n)
+
+
+@st.composite
+def _space_and_shape(draw):
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, min(6, n - 1)))
+    parts = draw(st.lists(st.integers(0, 2 * (n - m)), max_size=m))
+    return grassmannian(m, n), tuple(p for p in sorted(parts, reverse=True) if p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_space_and_shape())
+def test_rim_hook_reduce_matches_cell_oracle(space_and_shape):
+    space, nu = space_and_shape
+    assert rim_hook_reduce(nu, space) == rim_hook_reduce_oracle(nu, space.m, space.n)
 
 
 GOLDEN_G24 = {

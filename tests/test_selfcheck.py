@@ -34,10 +34,11 @@ def test_unknown_level_rejected():
 
 
 def test_detects_flipped_rim_hook_sign(monkeypatch):
-    # the classic convention slip: sign from the strip height alone
+    # the classic convention slip: sign from the strip heights alone,
+    # dropping the (-1)**(q*(m-1)) factor
     quantum.clear_cache()
     monkeypatch.setattr(
-        quantum, "_hook_sign", lambda m, height: -1 if (height - 1) % 2 else 1
+        quantum, "_reduction_sign", lambda m, q_power, passes: -1 if passes % 2 else 1
     )
     try:
         results = run_selfcheck("quick")
