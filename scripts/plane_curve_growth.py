@@ -11,13 +11,15 @@ import argparse
 import time
 from math import factorial
 
-from qschub.plane_curves import nd_values, reset_cache
+from qschub.plane_curves import MAX_ND_DEGREE, nd_values, reset_cache
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--upto", type=int, default=20)
     args = parser.parse_args()
+    if not 1 <= args.upto <= MAX_ND_DEGREE:
+        parser.error(f"--upto must be in 1..{MAX_ND_DEGREE} (work limit), got {args.upto}")
 
     reset_cache()
     start = time.perf_counter()

@@ -14,6 +14,7 @@ always carry identical data.  Nothing is written to disk unless
 import argparse
 import json
 import sys
+from math import comb
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
+MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 11 s; G(5,10) about two minutes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +133,7 @@ def _cmd_info(args):
         data["dimension"] = space.dimension()
         data["c1_degree"] = space.c1_degree()
         data["box"] = {"rows": space.m, "cols": space.box_cols}
-        data["basis_size"] = len(space.basis())
+        data["basis_size"] = comb(space.n, space.m)
     else:
         data["k"] = space.k_value()
         data["maximal"] = space.is_maximal
@@ -179,6 +181,10 @@ def _cmd_qmul(args):
 
 def _cmd_qtable(args):
     space = parse_space(args.space)
+    if (size := comb(space.m + space.box_cols, space.m)) > MAX_QTABLE_BASIS:
+        raise NotComputableError(
+            f"qtable is computed for basis size <= {MAX_QTABLE_BASIS} (work limit), got {size}"
+        )
     basis = space.basis()
     rows = [
         {

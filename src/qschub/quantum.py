@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoxError
-from .lr import classical_structure_constants, schur_product
+from .lr import schur_product
 from .partitions import Partition, format_partition, is_horizontal_strip, weight
 from .spaces import Grassmannian, require_type_a
 
@@ -216,7 +216,6 @@ def clear_cache() -> None:
 __all__ = [
     "QuantumClass",
     "ReductionOutcome",
-    "classical_structure_constants",
     "clear_cache",
     "format_terms",
     "quantum_pieri",

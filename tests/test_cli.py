@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from math import comb
 
 import pytest
 
@@ -114,6 +117,22 @@ def test_info_type_a(capsys):
     ]
 
 
+def run_child(env, *argv):
+    return subprocess.run(
+        [sys.executable, "-m", "qschub", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+
+
+def test_info_basis_size_of_a_large_space(child_env):
+    proc = run_child(child_env, "info", "G(40,80)", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["basis_size"] == comb(80, 40)
+
+
 def test_info_isotropic(capsys):
     code, out, _ = run(capsys, "info", "OG(2,8)", "--json")
     assert code == 0
@@ -165,6 +184,15 @@ def test_nd_over_the_work_limit_exits_4(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, ""), argv[:3]
         assert err == f"error: N_d is computed for d <= 500 (work limit), got {over}\n"
+
+
+def test_qtable_over_the_work_limit_exits_4(child_env):
+    from qschub.cli import MAX_QTABLE_BASIS
+
+    assert MAX_QTABLE_BASIS == 126
+    proc = run_child(child_env, "qtable", "G(4,10)")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: qtable is computed for basis size <= 126 (work limit), got 210\n"
 
 
 def test_box_violation_exits_3(capsys):

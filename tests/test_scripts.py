@@ -1,0 +1,35 @@
+"""Smoke tests for the runnable scripts in scripts/."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def run_script(env, name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_plane_curve_growth_defaults(child_env):
+    proc = run_script(child_env, "plane_curve_growth.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[1:] if line.strip()]
+    assert rows[:-1] == [str(d) for d in range(1, 21)]
+    assert rows[-1] == "computed"
+
+
+@pytest.mark.parametrize("upto", ["0", "501"])
+def test_plane_curve_growth_rejects_bad_upto(child_env, upto):
+    proc = run_script(child_env, "plane_curve_growth.py", "--upto", upto)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1

@@ -1,7 +1,8 @@
 import pytest
 
-from qschub import quantum
-from qschub.selfcheck import run_selfcheck
+from qschub import quantum, selfcheck
+from qschub.errors import NotComputableError
+from qschub.selfcheck import QUICK_SPACES, check_divisor_rule, run_selfcheck
 
 
 def test_quick_passes():
@@ -26,6 +27,47 @@ def test_quick_passes():
 
 def test_full_passes():
     assert all(suite.ok for suite in run_selfcheck("full"))
+
+
+def test_full_names_each_suite_once_with_the_folded_ranges():
+    results = run_selfcheck("full")
+    names = [suite.name for suite in results]
+    assert len(names) == len(set(names)) == 12
+    checks = {suite.name: suite.checks for suite in results}
+    # 243 exhaustive triples plus 500 sampled on each of G(2,5), G(3,6), G(2,6)
+    assert checks["associativity"] == 243 + 3 * 500
+    # G(2,4) up to weight 8 and G(3,6) up to weight 12 in one suite
+    assert checks["rim_hook_orders"] == 166
+    # G(2,4), G(2,5), G(1,3); d <= 3; 1-5 conditions
+    assert checks["divisor_rule"] == 99
+
+
+def _failing_once(monkeypatch, exc):
+    real = selfcheck.rational_curve_count
+    calls = []
+
+    def count(problem):
+        calls.append(problem)
+        if len(calls) == 1:
+            raise exc
+        return real(problem)
+
+    monkeypatch.setattr(selfcheck, "rational_curve_count", count)
+
+
+def test_divisor_rule_skips_a_problem_out_of_scope(monkeypatch):
+    baseline = check_divisor_rule(QUICK_SPACES)
+    _failing_once(monkeypatch, NotComputableError("out of scope"))
+    res = check_divisor_rule(QUICK_SPACES)
+    assert res.ok
+    assert res.checks == baseline.checks - 1
+
+
+def test_divisor_rule_fails_on_any_other_raise(monkeypatch):
+    _failing_once(monkeypatch, RuntimeError("not divisible"))
+    res = check_divisor_rule(QUICK_SPACES)
+    assert not res.ok
+    assert "RuntimeError" in res.failures[0]
 
 
 def test_unknown_level_rejected():
