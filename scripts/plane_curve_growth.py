@@ -26,7 +26,7 @@ def main():
     values = nd_values(args.upto)
     elapsed = time.perf_counter() - start
 
-    print(f"{'d':>3} {'N_d':>42} {'ratio':>14} {'normalized':>11}")
+    lines = [f"{'d':>3} {'N_d':>42} {'ratio':>14} {'normalized':>11}"]
     table = dict(values)
     for d, n in values:
         if d >= 2 and table[d - 1]:
@@ -34,10 +34,14 @@ def main():
             normalized = (n / factorial(3 * d - 1)) / (
                 table[d - 1] / factorial(3 * d - 4)
             )
-            print(f"{d:>3} {n:>42} {ratio:>14.3f} {normalized:>11.5f}")
+            lines.append(f"{d:>3} {n:>42} {ratio:>14.3f} {normalized:>11.5f}")
         else:
-            print(f"{d:>3} {n:>42} {'-':>14} {'-':>11}")
-    print(f"\ncomputed {args.upto} values in {elapsed * 1000:.2f} ms (cold cache)")
+            lines.append(f"{d:>3} {n:>42} {'-':>14} {'-':>11}")
+    lines.append(f"\ncomputed {args.upto} values in {elapsed * 1000:.2f} ms (cold cache)")
+    try:
+        print("\n".join(lines))
+    except OSError as exc:  # e.g. a closed pipe: one error line, as the qschub CLI prints
+        parser.exit(2, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

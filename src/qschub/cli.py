@@ -14,7 +14,6 @@ always carry identical data.  Nothing is written to disk unless
 import argparse
 import json
 import sys
-from math import comb
 from operator import itemgetter
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
 MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 11 s; G(5,10) about two minutes
+MAX_BASIS = 200_000  # G(10,20) lists 184,756 classes in about 3 s; G(11,22) takes about 12 s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +133,7 @@ def _cmd_info(args):
         data["dimension"] = space.dimension()
         data["c1_degree"] = space.c1_degree()
         data["box"] = {"rows": space.m, "cols": space.box_cols}
-        data["basis_size"] = comb(space.n, space.m)
+        data["basis_size"] = space.basis_size()
     else:
         data["k"] = space.k_value()
         data["maximal"] = space.is_maximal
@@ -162,9 +162,19 @@ def _render_info(payload):
     return lines
 
 
+def _basis_within(space: Grassmannian, limit: int, command: str) -> list[Partition]:
+    """The Schubert basis, refused before any enumeration past `limit` classes."""
+    if (size := space.basis_size()) > limit:
+        raise NotComputableError(
+            f"{command} is computed for basis size <= {limit} (work limit), got {size}"
+        )
+    return space.basis()
+
+
 def _cmd_basis(args):
     space = parse_space(args.space)
-    return {"partitions": [format_partition(p) for p in space.basis()]}, space, 0
+    basis = _basis_within(space, MAX_BASIS, "basis")
+    return {"partitions": [format_partition(p) for p in basis]}, space, 0
 
 
 def _cmd_lr(args):
@@ -181,11 +191,7 @@ def _cmd_qmul(args):
 
 def _cmd_qtable(args):
     space = parse_space(args.space)
-    if (size := comb(space.m + space.box_cols, space.m)) > MAX_QTABLE_BASIS:
-        raise NotComputableError(
-            f"qtable is computed for basis size <= {MAX_QTABLE_BASIS} (work limit), got {size}"
-        )
-    basis = space.basis()
+    basis = _basis_within(space, MAX_QTABLE_BASIS, "qtable")
     rows = [
         {
             "left": format_partition(lam),

@@ -34,7 +34,6 @@ def gw_3point(
     coefficient extractor; otherwise it is the coefficient of
     q^d s[dual(third)] in the quantum product of the first two classes.
     """
-    require_type_a(space)
     for p in (first, second, third):
         space.require_in_box(p)
     if d < 0:
@@ -100,20 +99,14 @@ def gw_spoint(query: GWQuery) -> int:
         return 0
     rest = [p for p in query.insertions if p != DIVISOR]
     stripped = len(query.insertions) - len(rest)
-    if len(rest) == 3:
-        return d**stripped * gw_3point(space, rest[0], rest[1], rest[2], d)
-    if len(rest) < 3:
+    if len(rest) <= 3:
         pad = 3 - len(rest)
-        padded = rest + [DIVISOR] * pad
-        value = gw_3point(space, padded[0], padded[1], padded[2], d)
-        net = stripped - pad
-        if net >= 0:
-            return d**net * value
-        if value % d ** (-net):
+        value = d**stripped * gw_3point(space, *rest, *[DIVISOR] * pad, d)
+        if value % d**pad:
             raise RuntimeError(
                 "divisor stripping produced a non-integral value; this is a bug"
             )
-        return value // d ** (-net)
+        return value // d**pad
     if space == _P2 and all(p == POINT_P2 for p in rest):
         return d**stripped * kontsevich_nd(d)
     raise NotComputableError(

@@ -14,7 +14,7 @@ yields every outer shape nu with its coefficient.
 """
 
 from .partitions import Partition, contains, weight
-from .spaces import Grassmannian, require_type_a
+from .spaces import Grassmannian
 
 LRExpansion = dict[Partition, int]
 
@@ -86,7 +86,6 @@ def classical_structure_constants(
 ) -> LRExpansion:
     """schur_product restricted to the Schubert basis of the space: only
     partitions inside the m x (n-m) box survive."""
-    require_type_a(space)
     space.require_in_box(lam)
     space.require_in_box(mu)
     return _lr_expand(lam, mu, (space.box_cols,) * space.m)

@@ -4,30 +4,19 @@ A partition is a tuple of weakly decreasing positive integers; the empty
 tuple is the empty partition (the index of the fundamental class).  No
 zeros are ever stored, so equality and hashing are plain tuple semantics.
 The text form is a comma list like "2,1", with "0" denoting the empty
-partition.
+partition; parse_partition is the one place such text is validated.  One
+generator, partitions_of_weight, enumerates shapes: enumerate_box lists a
+box weight by weight from it.
 """
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import BoxError
 
 Partition = tuple[int, ...]
 
 EMPTY: Partition = ()
-
-
-def as_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize an iterable of parts: trailing zeros are stripped,
-    anything not weakly decreasing and positive is rejected."""
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if any(a < b for a, b in zip(p, p[1:])):
-        raise ValueError(f"parts {p} are not weakly decreasing")
-    if p and p[-1] < 1:
-        raise ValueError(f"parts {p} contain a non-positive entry")
-    return p
 
 
 def parse_partition(text: str) -> Partition:
@@ -97,27 +86,19 @@ def dual_in_box(p: Partition, rows: int, cols: int) -> Partition:
         raise BoxError(f"partition {format_partition(p)} does not fit a {rows}x{cols} box")
     padded = p + (0,) * (rows - len(p))
     flipped = tuple(cols - padded[rows - 1 - i] for i in range(rows))
-    return as_partition(flipped)
+    return tuple(x for x in flipped if x)  # weakly decreasing, >= 0 since p fits
 
 
 def enumerate_box(rows: int, cols: int) -> list[Partition]:
-    """All partitions fitting in the rows x cols box, sorted by weight and,
-    within a weight, with larger leading parts first (so the order starts
-    0, 1, 2, 1,1, 2,1, 2,2 in the 2x2 box).  There are C(rows+cols, rows)
-    of them."""
-    def gen(nrows: int, maxpart: int) -> Iterator[Partition]:
-        yield EMPTY
-        if nrows == 0 or maxpart == 0:
-            return
-        for first in range(1, maxpart + 1):
-            for rest in gen(nrows - 1, first):
-                yield (first, *rest)
-
-    return sorted(gen(rows, cols), key=lambda q: (weight(q), tuple(-x for x in q)))
+    """All C(rows+cols, rows) partitions fitting in the rows x cols box,
+    weight by weight, each weight's shapes in partitions_of_weight's order
+    (larger leading parts first, so the 2x2 box reads 0, 1, 2, 1,1, 2,1, 2,2)."""
+    return [p for w in range(rows * cols + 1) for p in partitions_of_weight(w, rows, cols)]
 
 
 def partitions_of_weight(n: int, max_rows: int, max_part: int) -> Iterator[Partition]:
-    """All partitions of n with at most max_rows parts, each at most max_part."""
+    """All partitions of n with at most max_rows parts, each at most max_part,
+    in decreasing lexicographic order."""
     if n == 0:
         yield EMPTY
         return

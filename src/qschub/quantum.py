@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoxError
 from .lr import schur_product
-from .partitions import Partition, format_partition, is_horizontal_strip, weight
+from .partitions import (
+    Partition, format_partition, is_horizontal_strip, partitions_of_weight, weight
+)
 from .spaces import Grassmannian, require_type_a
 
 
@@ -80,7 +82,6 @@ class QuantumClass:
 
     @classmethod
     def from_partition(cls, space: Grassmannian, p: Partition) -> "QuantumClass":
-        require_type_a(space)
         space.require_in_box(p)
         return cls(space, {(0, p): 1})
 
@@ -163,7 +164,6 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     """The quantum product of two Schubert classes, via rim-hook reduction
     of the classical expansion.  All surviving coefficients are genus-zero
     three-point Gromov-Witten invariants, hence positive."""
-    require_type_a(space)
     space.require_in_box(lam)
     space.require_in_box(mu)
     return QuantumClass(space, dict(_product_terms(lam, mu, space)))
@@ -193,14 +193,13 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     computed directly from the Pieri rule: the classical part adds a
     horizontal p-strip inside the box, and the q part collects the shapes
     of weight |lam| + p - n interlacing lam shifted down by one."""
-    require_type_a(space)
     if not 1 <= p <= space.box_cols:
         raise ValueError(f"row length {p} out of range 1..{space.box_cols} for {space.notation}")
     space.require_in_box(lam)
     terms: dict[tuple[int, Partition], int] = {}
     target = weight(lam) + p
-    for mu in space.basis():
-        if weight(mu) == target and is_horizontal_strip(lam, mu):
+    for mu in partitions_of_weight(target, space.m, space.box_cols):
+        if is_horizontal_strip(lam, mu):
             terms[(0, mu)] = 1
     q_weight = target - space.n
     if q_weight >= 0:

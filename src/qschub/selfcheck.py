@@ -5,10 +5,13 @@ quantum product, positivity and grading of its structure constants,
 agreement of the rim-hook and Pieri paths, order-independence of rim-hook
 removal (every order of bead moves on the abacus, against the closed form),
 Poincare pairing, symmetry and the divisor rule for invariants,
-and the plane-count cross checks.  `quick` covers G(2,4) and G(1,3)
-exhaustively.  `full` adds G(2,5) and G(3,6) sweeps, 500 associativity
-triples on each of G(2,5), G(3,6), G(2,6), rim-hook orders on G(3,6), and
-the divisor rule on G(2,4), G(2,5), G(1,3) for d <= 3 with 1-5 conditions.
+and the plane-count cross checks.  The five suites over pairs of basis
+classes (unit, commutativity, grading, positivity, classical_layer) share
+one sweep, check_products, which looks each pair's product up once.
+`quick` covers G(2,4) and G(1,3) exhaustively.  `full` adds G(2,5) and
+G(3,6) sweeps, 500 associativity triples on each of G(2,5), G(3,6), G(2,6),
+rim-hook orders on G(3,6), and the divisor rule on G(2,4), G(2,5), G(1,3)
+for d <= 3 with 1-5 conditions.
 A broken build (wrong rim-hook sign, wrong Pieri chain) must fail here.
 """
 
@@ -50,27 +53,30 @@ class SuiteResult:
             self.failures.append(label)
 
 
-def check_unit(spaces) -> SuiteResult:
-    res = SuiteResult("unit")
+def check_products(spaces) -> list[SuiteResult]:
+    """The five suites over unordered pairs of basis classes, from one product
+    lookup per pair (commutativity also looks up the reverse order): unit
+    (the pairs led by the unit class), commutativity, grading and positivity
+    of every term, and the q^0 part against the LR expansion in the box."""
+    names = ("unit", "commutativity", "grading", "positivity", "classical_layer")
+    unit, commutativity, grading, positivity, classical = map(SuiteResult, names)
     for space in spaces:
-        for lam in space.basis():
-            res.expect(
-                quantum_product((), lam, space) == QuantumClass.from_partition(space, lam),
-                f"{space}: unit * {lam}",
+        for lam, mu in combinations_with_replacement(space.basis(), 2):
+            product = quantum_product(lam, mu, space)
+            label = f"{space}: {lam} * {mu}"
+            if not lam:
+                unit.expect(
+                    product == QuantumClass.from_partition(space, mu), f"{space}: unit * {mu}"
+                )
+            commutativity.expect(product == quantum_product(mu, lam, space), label)
+            total = weight(lam) + weight(mu)
+            for d, nu, c in product.sorted_terms():
+                grading.expect(weight(nu) + d * space.n == total, f"{label} term (q^{d}, {nu})")
+                positivity.expect(c > 0, f"{label} has coeff {c} at (q^{d}, {nu})")
+            classical.expect(
+                product.q_part(0) == classical_structure_constants(space, lam, mu), label
             )
-    return res
-
-
-def check_commutativity(spaces) -> SuiteResult:
-    res = SuiteResult("commutativity")
-    for space in spaces:
-        basis = space.basis()
-        for lam, mu in combinations_with_replacement(basis, 2):
-            res.expect(
-                quantum_product(lam, mu, space) == quantum_product(mu, lam, space),
-                f"{space}: {lam} * {mu}",
-            )
-    return res
+    return [unit, commutativity, grading, positivity, classical]
 
 
 def _associative(space, a, b, c) -> bool:
@@ -96,30 +102,6 @@ def check_associativity(exhaustive_spaces, sampled_spaces=()) -> SuiteResult:
     return res
 
 
-def check_grading(spaces) -> SuiteResult:
-    res = SuiteResult("grading")
-    for space in spaces:
-        basis = space.basis()
-        for lam, mu in combinations_with_replacement(basis, 2):
-            total = weight(lam) + weight(mu)
-            for d, nu, _ in quantum_product(lam, mu, space).sorted_terms():
-                res.expect(
-                    weight(nu) + d * space.n == total,
-                    f"{space}: {lam} * {mu} term (q^{d}, {nu})",
-                )
-    return res
-
-
-def check_positivity(spaces) -> SuiteResult:
-    res = SuiteResult("positivity")
-    for space in spaces:
-        basis = space.basis()
-        for lam, mu in combinations_with_replacement(basis, 2):
-            for d, nu, c in quantum_product(lam, mu, space).sorted_terms():
-                res.expect(c > 0, f"{space}: {lam} * {mu} has coeff {c} at (q^{d}, {nu})")
-    return res
-
-
 def check_dual_path(spaces) -> SuiteResult:
     res = SuiteResult("dual_path")
     for space in spaces:
@@ -130,19 +112,6 @@ def check_dual_path(spaces) -> SuiteResult:
                     quantum_pieri(p, lam, space) == quantum_product(row, lam, space),
                     f"{space}: pieri {p} on {lam}",
                 )
-    return res
-
-
-def check_classical_layer(spaces) -> SuiteResult:
-    res = SuiteResult("classical_layer")
-    for space in spaces:
-        basis = space.basis()
-        for lam, mu in combinations_with_replacement(basis, 2):
-            res.expect(
-                quantum_product(lam, mu, space).q_part(0)
-                == classical_structure_constants(space, lam, mu),
-                f"{space}: {lam} * {mu}",
-            )
     return res
 
 
@@ -278,14 +247,15 @@ def run_selfcheck(level: str = "quick") -> list[SuiteResult]:
     sampled = FULL_EXTRA_SPACES + (grassmannian(2, 6),) if full else ()
     rim_hook_cases = ((grassmannian(2, 4), 8),) + (((grassmannian(3, 6), 12),) if full else ())
     divisor_range = (FULL_DIVISOR_SPACES, 3, range(1, 6)) if full else (QUICK_SPACES, 2, (2, 3))
+    unit, commutativity, grading, positivity, classical_layer = check_products(spaces)
     return [
-        check_unit(spaces),
-        check_commutativity(spaces),
+        unit,
+        commutativity,
         check_associativity(QUICK_SPACES, sampled),
-        check_grading(spaces),
-        check_positivity(spaces),
+        grading,
+        positivity,
         check_dual_path(spaces),
-        check_classical_layer(spaces),
+        classical_layer,
         check_rim_hook_orders(rim_hook_cases),
         check_poincare_pairing(spaces),
         check_gw_symmetry(QUICK_SPACES),

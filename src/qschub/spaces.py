@@ -13,6 +13,7 @@ deliberately raises UnsupportedFamilyError instead of guessing:
 
 import re
 from dataclasses import dataclass
+from math import comb
 
 from .errors import BoxError, DegreeRangeError, UnsupportedFamilyError
 from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box, format_partition
@@ -128,6 +129,10 @@ class Grassmannian:
     def basis(self) -> list[Partition]:
         """Schubert basis indices in deterministic order."""
         return enumerate_box(self.m, self.box_cols)
+
+    def basis_size(self) -> int:
+        """The number of Schubert classes, C(n, m), without enumerating them."""
+        return comb(self.m + self.box_cols, self.m)
 
     def dual(self, p: Partition) -> Partition:
         return dual_in_box(p, self.m, self.box_cols)

@@ -9,10 +9,24 @@ exponent.  This exercises none of the code paths in qschub.lr.
 Rim-hook reduction is checked against a cell-by-cell search: hook lengths
 are read off the Young diagram, strips are peeled one at a time, and every
 removal order is tried.  This shares nothing with the library's abacus.
+
+The shapes of a box are listed from multisets of row lengths and put in the
+basis order by one global sort, not weight by weight.
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
+
+
+def box_oracle(rows, cols):
+    """Every partition in the rows x cols box, sorted by weight and then with
+    larger leading parts first."""
+    shapes = [
+        tuple(x for x in reversed(parts) if x)
+        for parts in combinations_with_replacement(range(cols + 1), rows)
+    ]
+    return sorted(shapes, key=lambda p: (sum(p), tuple(-x for x in p)))
 
 
 def schur_monomials(shape, nvars):

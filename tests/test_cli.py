@@ -195,6 +195,17 @@ def test_qtable_over_the_work_limit_exits_4(child_env):
     assert proc.stderr == "error: qtable is computed for basis size <= 126 (work limit), got 210\n"
 
 
+def test_basis_over_the_work_limit_exits_4(child_env):
+    from qschub.cli import MAX_BASIS
+
+    assert MAX_BASIS == 200_000
+    proc = run_child(child_env, "basis", "G(12,24)")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        f"error: basis is computed for basis size <= 200000 (work limit), got {comb(24, 12)}\n"
+    )
+
+
 def test_box_violation_exits_3(capsys):
     code, _, err = run(capsys, "qmul", "G(2,4)", "3", "1")
     assert code == 3

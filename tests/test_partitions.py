@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qschub.errors import BoxError
 from qschub.partitions import (
-    as_partition,
     conjugate,
     dual_in_box,
     enumerate_box,
@@ -19,7 +18,7 @@ from qschub.partitions import (
     weight,
 )
 
-from oracles import horizontal_strip_oracle, schur_product_oracle
+from oracles import box_oracle, horizontal_strip_oracle, schur_product_oracle
 
 partitions = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -30,15 +29,6 @@ def test_weight():
     assert weight(()) == 0
     assert weight((2, 1)) == 3
     assert weight((5, 3, 3, 1)) == 12
-
-
-def test_as_partition_canonicalizes():
-    assert as_partition([3, 2, 0, 0]) == (3, 2)
-    assert as_partition([]) == ()
-    with pytest.raises(ValueError):
-        as_partition([1, 2])
-    with pytest.raises(ValueError):
-        as_partition([2, -1])
 
 
 def test_parse_and_format():
@@ -122,6 +112,9 @@ def test_enumerate_box_order():
     assert enumerate_box(2, 2) == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
     assert enumerate_box(1, 3) == [(), (1,), (2,), (3,)]
     assert enumerate_box(3, 0) == [()]
+    for rows in range(7):
+        for cols in range(7):
+            assert enumerate_box(rows, cols) == box_oracle(rows, cols), (rows, cols)
 
 
 def test_enumerate_box_counts():

@@ -33,3 +33,20 @@ def test_plane_curve_growth_rejects_bad_upto(child_env, upto):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+
+
+def test_plane_curve_growth_closed_pipe_exits_2(child_env):
+    # about 116 KB of rows: more than a pipe holds, so the write meets the closed reader
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "plane_curve_growth.py"), "--upto", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env,
+    )
+    assert proc.stdout.readline().split()[:2] == ["d", "N_d"]
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in stderr
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
