@@ -9,6 +9,7 @@ combinatorial growth; the normalized ratio settles down much faster).
 
 import argparse
 import time
+from fractions import Fraction
 from math import factorial
 
 from qschub.plane_curves import MAX_ND_DEGREE, nd_values, reset_cache
@@ -31,8 +32,9 @@ def main():
     for d, n in values:
         if d >= 2 and table[d - 1]:
             ratio = n / table[d - 1]
-            normalized = (n / factorial(3 * d - 1)) / (
-                table[d - 1] / factorial(3 * d - 4)
+            # exact: as a float, N_d / (3d-1)! is subnormal from d = 349 and 0.0 from 367
+            normalized = float(
+                Fraction(n * factorial(3 * d - 4), table[d - 1] * factorial(3 * d - 1))
             )
             lines.append(f"{d:>3} {n:>42} {ratio:>14.3f} {normalized:>11.5f}")
         else:

@@ -33,6 +33,7 @@ from .plane_curves import kontsevich_nd, nd_values
 from .quantum import (
     QuantumClass,
     ReductionOutcome,
+    product_table,
     quantum_pieri,
     quantum_product,
     rim_hook_reduce,

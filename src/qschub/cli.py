@@ -28,12 +28,12 @@ from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition
 from .plane_curves import kontsevich_nd, nd_values
-from .quantum import QuantumClass, format_terms, quantum_product
+from .quantum import QuantumClass, format_terms, product_table, quantum_product
 from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
-MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 11 s; G(5,10) about two minutes
+MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 1 s; G(5,10) (252 classes) about 6 s
 MAX_BASIS = 200_000  # G(10,20) lists 184,756 classes in about 3 s; G(11,22) takes about 12 s
 
 
@@ -192,11 +192,12 @@ def _cmd_qmul(args):
 def _cmd_qtable(args):
     space = parse_space(args.space)
     basis = _basis_within(space, MAX_QTABLE_BASIS, "qtable")
+    table = product_table(space)
     rows = [
         {
             "left": format_partition(lam),
             "right": format_partition(mu),
-            "terms": _terms_json(quantum_product(lam, mu, space)),
+            "terms": _terms_json(table[lam, mu]),
         }
         for lam in basis
         for mu in basis

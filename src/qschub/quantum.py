@@ -8,9 +8,11 @@ n-runner abacus of the m beta-numbers nu_i + m - i, removing a strip moves
 one bead n places up its runner, so the whole reduction is read off in
 closed form: each bead drops to its residue mod n.  An expansion term whose
 n-core does not fit the m x (n-m) box, i.e. two beads share a runner,
-contributes nothing.  The quantum Pieri rule is implemented independently
-and serves as a cross-check on the rim-hook path; the two must agree
-wherever both apply.
+contributes nothing.  That path serves single products (quantum_product,
+behind one memo cache).  Whole tables come from the quantum Pieri rule
+instead (product_table): each row is built from Pieri steps alone, which is
+cheap for a whole row but pulls in most of a row for one product.  The two
+paths share no code, and selfcheck compares them on every pair it visits.
 """
 
 from dataclasses import dataclass, field
@@ -163,7 +165,9 @@ def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
 def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> QuantumClass:
     """The quantum product of two Schubert classes, via rim-hook reduction
     of the classical expansion.  All surviving coefficients are genus-zero
-    three-point Gromov-Witten invariants, hence positive."""
+    three-point Gromov-Witten invariants, hence positive.  For a whole
+    multiplication table use product_table, the Pieri path that checks
+    this one."""
     space.require_in_box(lam)
     space.require_in_box(mu)
     return QuantumClass(space, dict(_product_terms(lam, mu, space)))
@@ -208,6 +212,45 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     return QuantumClass(space, terms)
 
 
+def product_table(space: Grassmannian) -> dict[tuple[Partition, Partition], QuantumClass]:
+    """Every product s[lam] * s[mu] of two basis classes, from quantum Pieri
+    alone (Bertram).  With mu = (a, rest), Pieri gives s[a] * s[rest] = s[mu]
+    + (classes of the same weight with first row > a) + q * (classes of lower
+    weight), so each row is built with mu by weight, then by first row
+    descending, as s[a] * (s[lam] * s[rest]) minus s[lam] times the other
+    terms of s[a] * s[rest].  The Pieri products are memoized for this call
+    only.  It runs neither LR nor rim-hook reduction, so it and
+    quantum_product check each other."""
+    pieri: dict[tuple[int, Partition], dict[tuple[int, Partition], int]] = {}
+
+    def pieri_terms(a: int, kappa: Partition) -> dict[tuple[int, Partition], int]:
+        if (a, kappa) not in pieri:
+            pieri[a, kappa] = quantum_pieri(a, kappa, space).terms
+        return pieri[a, kappa]
+
+    basis = space.basis()  # by weight, then by first row descending
+    table = {}
+    for lam in basis:
+        row: dict[Partition, dict[tuple[int, Partition], int]] = {(): {(0, lam): 1}}
+        for mu in basis[1:]:
+            a, rest = mu[0], mu[1:]
+            terms: dict[tuple[int, Partition], int] = {}
+            for (d, kappa), c in row[rest].items():
+                for (e, nu), b in pieri_terms(a, kappa).items():
+                    key = (d + e, nu)
+                    terms[key] = terms.get(key, 0) + b * c
+            for (e, nu), b in pieri_terms(a, rest).items():
+                if nu == mu:
+                    continue  # the one term of weight |mu| with first row a
+                for (d, kappa), c in row[nu].items():
+                    key = (d + e, kappa)
+                    terms[key] = terms.get(key, 0) - b * c
+            row[mu] = {key: c for key, c in terms.items() if c}
+        for mu, terms in row.items():
+            table[lam, mu] = QuantumClass(space, terms)
+    return table
+
+
 def clear_cache() -> None:
     _product_terms.cache_clear()
 
@@ -217,6 +260,7 @@ __all__ = [
     "ReductionOutcome",
     "clear_cache",
     "format_terms",
+    "product_table",
     "quantum_pieri",
     "quantum_product",
     "rim_hook_reduce",

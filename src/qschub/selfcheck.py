@@ -5,9 +5,12 @@ quantum product, positivity and grading of its structure constants,
 agreement of the rim-hook and Pieri paths, order-independence of rim-hook
 removal (every order of bead moves on the abacus, against the closed form),
 Poincare pairing, symmetry and the divisor rule for invariants,
-and the plane-count cross checks.  The five suites over pairs of basis
-classes (unit, commutativity, grading, positivity, classical_layer) share
-one sweep, check_products, which looks each pair's product up once.
+and the plane-count cross checks.  The suites over pairs of basis classes
+(unit, commutativity, grading, positivity, classical_layer, dual_path)
+share one sweep, check_products, which looks each pair's product up once;
+dual_path compares every pair with the space's Pieri-built product_table,
+then every single-row product with quantum_pieri.  Positivity and grading
+read quantum_product's terms, so a slip in either path fails here.
 `quick` covers G(2,4) and G(1,3) exhaustively.  `full` adds G(2,5) and
 G(3,6) sweeps, 500 associativity triples on each of G(2,5), G(3,6), G(2,6),
 rim-hook orders on G(3,6), and the divisor rule on G(2,4), G(2,5), G(1,3)
@@ -26,7 +29,9 @@ from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import classical_structure_constants
 from .partitions import Partition, partitions_of_weight, weight
 from .plane_curves import kontsevich_nd
-from .quantum import QuantumClass, quantum_pieri, quantum_product, rim_hook_reduce
+from .quantum import (
+    QuantumClass, product_table, quantum_pieri, quantum_product, rim_hook_reduce
+)
 from .spaces import Grassmannian, grassmannian
 
 QUICK_SPACES = (grassmannian(2, 4), grassmannian(1, 3))
@@ -54,16 +59,19 @@ class SuiteResult:
 
 
 def check_products(spaces) -> list[SuiteResult]:
-    """The five suites over unordered pairs of basis classes, from one product
+    """The suites over unordered pairs of basis classes, from one product
     lookup per pair (commutativity also looks up the reverse order): unit
     (the pairs led by the unit class), commutativity, grading and positivity
-    of every term, and the q^0 part against the LR expansion in the box."""
-    names = ("unit", "commutativity", "grading", "positivity", "classical_layer")
-    unit, commutativity, grading, positivity, classical = map(SuiteResult, names)
+    of every term, the q^0 part against the LR expansion in the box, and
+    dual_path, the product against the space's Pieri-built product_table."""
+    names = ("unit", "commutativity", "grading", "positivity", "classical_layer", "dual_path")
+    unit, commutativity, grading, positivity, classical, dual_path = map(SuiteResult, names)
     for space in spaces:
+        table = product_table(space)
         for lam, mu in combinations_with_replacement(space.basis(), 2):
             product = quantum_product(lam, mu, space)
             label = f"{space}: {lam} * {mu}"
+            dual_path.expect(product == table[lam, mu], f"{label} differs from its Pieri row")
             if not lam:
                 unit.expect(
                     product == QuantumClass.from_partition(space, mu), f"{space}: unit * {mu}"
@@ -76,7 +84,7 @@ def check_products(spaces) -> list[SuiteResult]:
             classical.expect(
                 product.q_part(0) == classical_structure_constants(space, lam, mu), label
             )
-    return [unit, commutativity, grading, positivity, classical]
+    return [unit, commutativity, grading, positivity, classical, dual_path]
 
 
 def _associative(space, a, b, c) -> bool:
@@ -102,8 +110,9 @@ def check_associativity(exhaustive_spaces, sampled_spaces=()) -> SuiteResult:
     return res
 
 
-def check_dual_path(spaces) -> SuiteResult:
-    res = SuiteResult("dual_path")
+def check_dual_path(spaces, res: SuiteResult) -> SuiteResult:
+    """Adds to `res` the single-row products s[p] * s[lam] of quantum_pieri
+    against quantum_product."""
     for space in spaces:
         for p in range(1, space.box_cols + 1):
             row: Partition = (p,)
@@ -247,14 +256,14 @@ def run_selfcheck(level: str = "quick") -> list[SuiteResult]:
     sampled = FULL_EXTRA_SPACES + (grassmannian(2, 6),) if full else ()
     rim_hook_cases = ((grassmannian(2, 4), 8),) + (((grassmannian(3, 6), 12),) if full else ())
     divisor_range = (FULL_DIVISOR_SPACES, 3, range(1, 6)) if full else (QUICK_SPACES, 2, (2, 3))
-    unit, commutativity, grading, positivity, classical_layer = check_products(spaces)
+    unit, commutativity, grading, positivity, classical_layer, dual_path = check_products(spaces)
     return [
         unit,
         commutativity,
         check_associativity(QUICK_SPACES, sampled),
         grading,
         positivity,
-        check_dual_path(spaces),
+        check_dual_path(spaces, dual_path),
         classical_layer,
         check_rim_hook_orders(rim_hook_cases),
         check_poincare_pairing(spaces),

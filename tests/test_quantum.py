@@ -11,6 +11,7 @@ from qschub.partitions import partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
     ReductionOutcome,
+    product_table,
     quantum_pieri,
     quantum_product,
     rim_hook_reduce,
@@ -127,6 +128,26 @@ def test_dual_path_equality(space):
     for p in range(1, space.box_cols + 1):
         for lam in space.basis():
             assert quantum_pieri(p, lam, space) == quantum_product((p,), lam, space)
+
+
+@pytest.mark.parametrize("space", [grassmannian(3, 7), grassmannian(5, 8)])
+def test_product_table_matches_quantum_product_on_every_pair(space):
+    table = product_table(space)
+    basis = space.basis()
+    assert len(table) == len(basis) ** 2
+    for lam in basis:
+        for mu in basis:
+            assert table[lam, mu] == quantum_product(lam, mu, space), (lam, mu)
+
+
+def test_product_table_matches_quantum_product_on_sampled_pairs_of_g49():
+    space = grassmannian(4, 9)
+    table = product_table(space)
+    basis = space.basis()
+    rng = random.Random(20261018)
+    for _ in range(300):
+        lam, mu = rng.choice(basis), rng.choice(basis)
+        assert table[lam, mu] == quantum_product(lam, mu, space), (lam, mu)
 
 
 def test_unit_and_commutativity():

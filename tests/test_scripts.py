@@ -27,6 +27,16 @@ def test_plane_curve_growth_defaults(child_env):
     assert rows[-1] == "computed"
 
 
+def test_plane_curve_growth_normalized_ratio_past_the_float_range(child_env):
+    # as a float, N_d / (3d-1)! is subnormal from d = 349 and 0.0 from 367,
+    # so the ratio must be computed exactly to stay right and to reach d = 368
+    proc = run_script(child_env, "plane_curve_growth.py", "--upto", "368")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[1:] if line.strip()}
+    assert rows["367"][-1] == "0.13670"
+    assert "368" in rows
+
+
 @pytest.mark.parametrize("upto", ["0", "501"])
 def test_plane_curve_growth_rejects_bad_upto(child_env, upto):
     proc = run_script(child_env, "plane_curve_growth.py", "--upto", upto)

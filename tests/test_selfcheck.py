@@ -39,6 +39,8 @@ def test_full_names_each_suite_once_with_the_folded_ranges():
     assert [checks[name] for name in pair_suites] == [39, 292, 445, 445, 292]
     quick = {suite.name: suite.checks for suite in run_selfcheck("quick")}
     assert [quick[name] for name in pair_suites] == [9, 27, 30, 30, 27]
+    # every pair against product_table, plus the single-row Pieri products
+    assert (quick["dual_path"], checks["dual_path"]) == (27 + 18, 292 + 108)
     # 243 exhaustive triples plus 500 sampled on each of G(2,5), G(3,6), G(2,6)
     assert checks["associativity"] == 243 + 3 * 500
     # G(2,4) up to weight 8 and G(3,6) up to weight 12 in one suite
