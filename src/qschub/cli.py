@@ -34,6 +34,12 @@ from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
 MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 1 s; G(5,10) (252 classes) about 6 s
+# The LR expansion grows with the rows of the box, so tall spaces set this:
+# the slowest product found within the bound squares 2^30 1^30 on G(61,63)
+# (1,953 classes) in 2.5 s in process.  Past it, squaring 3^12 2^12 1^12 on
+# G(37,40) (9,880 classes) takes 39 s, and 8,7,...,1 squared on G(8,16)
+# (12,870 classes) 6 s.
+MAX_QMUL_BASIS = 2_000
 MAX_BASIS = 200_000  # G(10,20) lists 184,756 classes in about 3 s; G(11,22) takes about 12 s
 
 
@@ -162,19 +168,18 @@ def _render_info(payload):
     return lines
 
 
-def _basis_within(space: Grassmannian, limit: int, command: str) -> list[Partition]:
-    """The Schubert basis, refused before any enumeration past `limit` classes."""
+def _require_basis_within(space: Grassmannian, limit: int, command: str) -> None:
+    """Refuse a space past `limit` Schubert classes, from C(n, m) alone."""
     if (size := space.basis_size()) > limit:
         raise NotComputableError(
             f"{command} is computed for basis size <= {limit} (work limit), got {size}"
         )
-    return space.basis()
 
 
 def _cmd_basis(args):
     space = parse_space(args.space)
-    basis = _basis_within(space, MAX_BASIS, "basis")
-    return {"partitions": [format_partition(p) for p in basis]}, space, 0
+    _require_basis_within(space, MAX_BASIS, "basis")
+    return {"partitions": [format_partition(p) for p in space.basis()]}, space, 0
 
 
 def _cmd_lr(args):
@@ -186,12 +191,14 @@ def _cmd_qmul(args):
     space = parse_space(args.space)
     lam = _class_arg(args.lam, space)
     mu = _class_arg(args.mu, space)
+    _require_basis_within(space, MAX_QMUL_BASIS, "qmul")
     return {"terms": _terms_json(quantum_product(lam, mu, space))}, space, 0
 
 
 def _cmd_qtable(args):
     space = parse_space(args.space)
-    basis = _basis_within(space, MAX_QTABLE_BASIS, "qtable")
+    _require_basis_within(space, MAX_QTABLE_BASIS, "qtable")
+    basis = space.basis()
     table = product_table(space)
     rows = [
         {

@@ -12,11 +12,16 @@ removal order is tried.  This shares nothing with the library's abacus.
 
 The shapes of a box are listed from multisets of row lengths and put in the
 basis order by one global sort, not weight by weight.
+
+The plane counts N_d are recomputed by the textbook Kontsevich recursion,
+one math.comb call per term and every ordered split a + b = d, with no row
+of binomials and no pairing of a with b.
 """
 
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 
 def box_oracle(rows, cols):
@@ -178,3 +183,16 @@ def rim_hook_reduce_oracle(nu, m, n):
     if len(core) > m or (core and core[0] > n - m):
         return None
     return d, sign, core
+
+
+@lru_cache(maxsize=None)
+def nd_oracle(d):
+    """N_d by the per-term recursion from N_1 = 1:
+    N_d = sum over a + b = d of N_a N_b a^2 b (b C(3d-4, 3a-2) - a C(3d-4, 3a-1))."""
+    if d == 1:
+        return 1
+    return sum(
+        nd_oracle(a) * nd_oracle(d - a) * a * a * (d - a)
+        * ((d - a) * comb(3 * d - 4, 3 * a - 2) - a * comb(3 * d - 4, 3 * a - 1))
+        for a in range(1, d)
+    )

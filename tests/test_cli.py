@@ -195,6 +195,20 @@ def test_qtable_over_the_work_limit_exits_4(child_env):
     assert proc.stderr == "error: qtable is computed for basis size <= 126 (work limit), got 210\n"
 
 
+def test_qmul_over_the_work_limit_exits_4(child_env):
+    # about 14 s of LR expansion without the bound
+    from qschub.cli import MAX_QMUL_BASIS
+
+    proc = run_child(
+        child_env, "qmul", "G(10,20)", "10,10,10,10,10,5,5,5,5,5", "10,9,8,7,6,5,4,3,2,1"
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        f"error: qmul is computed for basis size <= {MAX_QMUL_BASIS} (work limit), "
+        f"got {comb(20, 10)}\n"
+    )
+
+
 def test_basis_over_the_work_limit_exits_4(child_env):
     from qschub.cli import MAX_BASIS
 

@@ -6,12 +6,25 @@ from qschub.gromov_witten import gw_3point
 from qschub.plane_curves import MAX_ND_DEGREE, kontsevich_nd, nd_values, reset_cache
 from qschub.spaces import grassmannian
 
+from oracles import nd_oracle
+
 
 def test_first_values():
     assert kontsevich_nd(1) == 1
     assert kontsevich_nd(2) == 1
     assert kontsevich_nd(3) == 12
     assert kontsevich_nd(4) == 620
+    assert kontsevich_nd(5) == 87304
+    assert kontsevich_nd(6) == 26312976
+    assert kontsevich_nd(7) == 14616808192
+    assert kontsevich_nd(8) == 13525751027392
+
+
+def test_matches_the_per_term_recursion():
+    # odd and even degrees alike; an even degree adds the middle term a = b
+    reset_cache()
+    for d, value in nd_values(150):
+        assert value == nd_oracle(d), d
 
 
 def test_rejects_nonpositive_degree():
