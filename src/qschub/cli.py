@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
-from .partitions import Partition, format_partition, parse_partition
+from .partitions import Partition, format_partition, parse_partition, weight
 from .plane_curves import kontsevich_nd, nd_values
 from .quantum import QuantumClass, format_terms, product_table, quantum_product
 from .selfcheck import run_selfcheck
@@ -34,13 +34,22 @@ from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
 MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 1 s; G(5,10) (252 classes) about 6 s
-# The LR expansion grows with the rows of the box, so tall spaces set this:
-# the slowest product found within the bound squares 2^30 1^30 on G(61,63)
-# (1,953 classes) in 2.5 s in process.  Past it, squaring 3^12 2^12 1^12 on
-# G(37,40) (9,880 classes) takes 39 s, and 8,7,...,1 squared on G(8,16)
-# (12,870 classes) 6 s.
+# qmul, gw and count all reach quantum_product's LR expansion, which grows
+# with the rows of the box, so tall spaces set this: the slowest product
+# found within the bound squares 2^30 1^30 on G(61,63) (1,953 classes) in
+# about 2.1 s in process.  Past it, squaring 3^12 2^12 1^12 on G(37,40) (9,880
+# classes) takes 39 s, and 8,7,...,1 squared on G(8,16) (12,870 classes) 6 s.
 MAX_QMUL_BASIS = 2_000
-MAX_BASIS = 200_000  # G(10,20) lists 184,756 classes in about 3 s; G(11,22) takes about 12 s
+# lr's expansion grows about 2.5-fold every 6 cells of NU: the slowest
+# coefficients a hill-climbing search found take 1.4 s with 50 cells and
+# 3.6 s with 56, and 9,8,...,1 squared onto twice itself (90 cells) 20 s,
+# all in process.
+MAX_LR_CELLS = 50
+MAX_BASIS = 200_000  # G(10,20) lists 184,756 classes in about 2 s; G(11,22) takes about 12 s
+# A listing costs its cells, at most classes x rows.  Within this bound the
+# slowest found end to end are G(1999,2000) (3,998,000) and G(19,25) at
+# 2.5-3 s; G(400,402) (32,240,400, within MAX_BASIS) takes about 16 s.
+MAX_BASIS_CELLS = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,11 +188,20 @@ def _require_basis_within(space: Grassmannian, limit: int, command: str) -> None
 def _cmd_basis(args):
     space = parse_space(args.space)
     _require_basis_within(space, MAX_BASIS, "basis")
+    if (cells := space.basis_size() * space.m) > MAX_BASIS_CELLS:
+        raise NotComputableError(
+            f"basis is computed for basis size x rows <= {MAX_BASIS_CELLS} (work limit), "
+            f"got {cells}"
+        )
     return {"partitions": [format_partition(p) for p in space.basis()]}, space, 0
 
 
 def _cmd_lr(args):
     lam, mu, nu = (parse_partition(t) for t in (args.lam, args.mu, args.nu))
+    if (cells := weight(nu)) > MAX_LR_CELLS:
+        raise NotComputableError(
+            f"lr is computed for |nu| <= {MAX_LR_CELLS} (work limit), got {cells}"
+        )
     return {"coefficient": lr_coefficient(lam, mu, nu)}, None, 0
 
 
@@ -215,6 +233,7 @@ def _cmd_qtable(args):
 def _cmd_gw(args):
     space = parse_space(args.space)
     insertions = tuple(_class_arg(t, space) for t in args.insertions)
+    _require_basis_within(space, MAX_QMUL_BASIS, "gw")
     query = GWQuery(space, args.degree, insertions)
     if args.degree == 0:
         if len(insertions) != 3:
@@ -234,6 +253,7 @@ def _cmd_gw(args):
 def _cmd_count(args):
     space = parse_space(args.space)
     conditions = tuple(_class_arg(t, space) for t in args.conditions)
+    _require_basis_within(space, MAX_QMUL_BASIS, "count")
     result = rational_curve_count(CountProblem(space, args.degree, conditions))
     payload = {
         "gw": result.gw_value,

@@ -10,7 +10,8 @@ far, and the reading word stays lattice exactly when, for every row r, the
 i's in rows <= r number at most the (i-1)'s in rows < r.  Fillings that
 agree on the current shape and on where the last strip went have the same
 continuations, so they are merged and counted together; one pass over mu
-yields every outer shape nu with its coefficient.
+yields every outer shape nu with its coefficient.  The strips are grown
+with an explicit stack, so no call depth follows the rows of the box.
 """
 
 from .partitions import Partition, contains, weight
@@ -19,30 +20,16 @@ from .spaces import Grassmannian
 LRExpansion = dict[Partition, int]
 
 
-def _strips(shape: Partition, size: int, bound: Partition, ceiling: Partition):
-    """Every horizontal strip of `size` cells added to `shape` (padded to
-    len(bound) rows) with row r at most bound[r] long and at most
-    ceiling[r] strip cells in rows 0..r.  Yields the grown shape and the
-    ceiling for the next letter: the strip cells in the rows above each row."""
-    rows = len(shape)
-
-    def grow(r: int, placed: int, grown: Partition, above: Partition):
-        if placed == size:
-            yield grown + shape[r:], above + (size,) * (rows - r)
-            return
-        if r == rows:
-            return
-        room = min(bound[r], shape[r - 1] if r else bound[r]) - shape[r]
-        for k in range(min(room, size - placed, ceiling[r] - placed), -1, -1):
-            yield from grow(r + 1, placed + k, grown + (shape[r] + k,), above + (placed,))
-
-    return grow(0, 0, (), ())
-
-
 def _lr_expand(lam: Partition, mu: Partition, bound: Partition) -> LRExpansion:
     """The LR fillings of content mu on top of lam, counted by outer shape,
     for the shapes with at most len(bound) rows whose row r is at most
-    bound[r] long.  Each row of lam must fit its bound."""
+    bound[r] long.  Each row of lam must fit its bound.
+
+    A state is the shape so far, padded to len(bound) rows, and its ceiling:
+    the last letter's cells above each row r, which cap the next letter's
+    cells in rows 0..r.  Each letter's horizontal strips are grown depth
+    first, longer rows first, from a stack of (row, cells placed, grown
+    rows, cells above each row)."""
     rows = len(bound)
     if len(lam) > rows:
         return {}
@@ -50,11 +37,20 @@ def _lr_expand(lam: Partition, mu: Partition, bound: Partition) -> LRExpansion:
     # the first letter has no lattice condition: let it fill any row
     states = {(start, (weight(mu),) * rows): 1}
     for size in mu:
-        grown: dict[tuple[Partition, Partition], int] = {}
+        grown_states: dict[tuple[Partition, Partition], int] = {}
         for (shape, ceiling), count in states.items():
-            for key in _strips(shape, size, bound, ceiling):
-                grown[key] = grown.get(key, 0) + count
-        states = grown
+            stack = [(0, 0, (), ())]
+            while stack:
+                r, placed, grown, above = stack.pop()
+                if placed == size:
+                    key = (grown + shape[r:], above + (size,) * (rows - r))
+                    grown_states[key] = grown_states.get(key, 0) + count
+                elif r < rows:
+                    row = shape[r]
+                    room = min(bound[r], shape[r - 1] if r else bound[r]) - row
+                    for k in range(min(room, size - placed, ceiling[r] - placed) + 1):
+                        stack.append((r + 1, placed + k, grown + (row + k,), above + (placed,)))
+        states = grown_states
     out: LRExpansion = {}
     for (shape, _), count in states.items():
         nu = tuple(x for x in shape if x)

@@ -99,16 +99,18 @@ def enumerate_box(rows: int, cols: int) -> list[Partition]:
 def partitions_of_weight(n: int, max_rows: int, max_part: int) -> Iterator[Partition]:
     """All partitions of n with at most max_rows parts, each at most max_part,
     in decreasing lexicographic order."""
-    if n == 0:
-        yield EMPTY
-        return
-    if max_rows <= 0 or max_part <= 0:
-        return
-    for first in range(min(n, max_part), 0, -1):
-        if first * max_rows < n:
-            break
-        for rest in partitions_of_weight(n - first, max_rows - 1, first):
-            yield (first, *rest)
+    parts: list[int] = []  # shared by the stack; parts[0] = max_part caps the first part
+    stack = [(0, max_part, n, max_rows)]  # (index, part, weight left, rows left)
+    while stack:
+        depth, part, rest, rows = stack.pop()
+        del parts[depth:]
+        parts.append(part)
+        if rest == 0:
+            yield tuple(parts[1:])
+        elif rows > 0:
+            # smallest first, so the largest pops first; each leaves the rest room below
+            for first in range(max(1, -(-rest // rows)), min(rest, part) + 1):
+                stack.append((depth + 1, first, rest - first, rows - 1))
 
 
 def is_k_strict(p: Partition, k: int) -> bool:

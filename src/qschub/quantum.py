@@ -178,18 +178,18 @@ def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Pa
     per row: lam_1 - 1 >= nu_1 >= lam_2 - 1 >= nu_2 >= ... >= nu_rows >= 0.
     Unsatisfiable when lam has fewer than `rows` parts."""
     padded = list(lam) + [0] * (rows - len(lam))
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
+    # (row, weight left, rows chosen); values pushed smallest first pop largest first
+    stack = [(0, target, ())]
+    while stack:
+        i, remaining, prefix = stack.pop()
         if i == rows:
             if remaining == 0:
                 yield tuple(x for x in prefix if x)
-            return
+            continue
         hi = min(padded[i] - 1, remaining)
         lo = max(padded[i + 1] - 1, 0) if i + 1 < rows else 0
-        for v in range(hi, lo - 1, -1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
-
-    yield from rec(0, target, ())
+        for v in range(lo, hi + 1):
+            stack.append((i + 1, remaining - v, prefix + (v,)))
 
 
 def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:

@@ -220,6 +220,62 @@ def test_basis_over_the_work_limit_exits_4(child_env):
     )
 
 
+def test_basis_over_the_cell_limit_exits_4(child_env):
+    # within MAX_BASIS, but about 16 s of listing without this bound
+    from qschub.cli import MAX_BASIS_CELLS
+
+    assert MAX_BASIS_CELLS == 4_000_000
+    proc = run_child(child_env, "basis", "G(400,402)")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        "error: basis is computed for basis size x rows <= 4000000 (work limit), "
+        f"got {comb(402, 2) * 400}\n"
+    )
+
+
+def test_gw_and_count_over_the_work_limit_exit_4(child_env):
+    # without the bound the gw call ran past 20 s and the count took 6 s
+    from qschub.cli import MAX_QMUL_BASIS
+
+    for argv in (
+        ["gw", "G(10,20)", "-d", "0", "9,8,7,6,5,4,3,2,1", "9,8,7,6,5,4,3,2,1",
+         "1,1,1,1,1,1,1,1,1,1"],
+        ["count", "G(10,20)", "-d", "1", "10,10,10,10,10,5,5,5,5,5", "9,8,7,6,5,4,3,2", "1"],
+    ):
+        proc = run_child(child_env, *argv)
+        assert (proc.returncode, proc.stdout) == (4, ""), argv[0]
+        assert proc.stderr == (
+            f"error: {argv[0]} is computed for basis size <= {MAX_QMUL_BASIS} (work limit), "
+            f"got {comb(20, 10)}\n"
+        )
+
+
+def test_lr_over_the_work_limit_exits_4(child_env):
+    # 9,8,...,1 squared onto twice itself takes about 20 s without the bound
+    from qschub.cli import MAX_LR_CELLS
+
+    assert MAX_LR_CELLS == 50
+    stair = ",".join(str(k) for k in range(9, 0, -1))
+    proc = run_child(child_env, "lr", stair, stair, ",".join(str(2 * k) for k in range(9, 0, -1)))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: lr is computed for |nu| <= 50 (work limit), got 90\n"
+
+
+def test_deep_boxes_answer_or_exit_4(child_env):
+    def ones(k):
+        return ",".join(["1"] * k)
+
+    proc = run_child(child_env, "qmul", "G(1999,2000)", "1", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "s[1,1]\n", "")
+    proc = run_child(child_env, "gw", "G(1999,2000)", "-d", "0", "1", "1", ones(1997))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+    for argv in (["basis", "G(1999,2000)"], ["lr", "1", ones(1998), ones(1999)]):
+        proc = run_child(child_env, *argv)
+        assert proc.returncode in (0, 4), argv[0]
+        assert len(proc.stderr.splitlines()) <= 1, argv[0]
+        assert "Traceback" not in proc.stderr, argv[0]
+
+
 def test_box_violation_exits_3(capsys):
     code, _, err = run(capsys, "qmul", "G(2,4)", "3", "1")
     assert code == 3

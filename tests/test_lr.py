@@ -52,6 +52,10 @@ def test_schur_product_examples():
     assert schur_product((2,), (2,), 2) == {(4,): 1, (3, 1): 1, (2, 2): 1}
 
 
+def test_deep_box_costs_no_call_depth():
+    assert schur_product((1,), (1,), 1999) == {(2,): 1, (1, 1): 1}
+
+
 def test_empty_factor_is_identity():
     for p in ((), (1,), (3, 2)):
         assert schur_product((), p, 4) == {p: 1}

@@ -132,6 +132,10 @@ def test_partitions_of_weight():
     assert list(partitions_of_weight(3, 1, 2)) == []
 
 
+def test_partitions_of_weight_in_a_deep_box():
+    assert list(partitions_of_weight(1999, 1999, 1)) == [(1,) * 1999]
+
+
 def test_is_k_strict():
     assert not is_k_strict((3, 3, 1), 2)
     assert is_k_strict((3, 2, 2), 2)

@@ -116,6 +116,10 @@ def test_quantum_pieri_examples():
     assert quantum_pieri(3, (3,), G25).terms == {(0, (3, 3)): 1}
 
 
+def test_quantum_pieri_in_a_deep_box():
+    assert quantum_pieri(1, (1,) * 1999, grassmannian(1999, 2000)).terms == {(1, ()): 1}
+
+
 def test_quantum_pieri_validates():
     with pytest.raises(ValueError):
         quantum_pieri(3, (1,), G24)
