@@ -177,18 +177,42 @@ def _render_info(payload):
     return lines
 
 
-def _require_basis_within(space: Grassmannian, limit: int, command: str) -> None:
-    """Refuse a space past `limit` Schubert classes, from C(n, m) alone."""
-    if (size := space.basis_size()) > limit:
+# Past 10^18 classes a work-limit message names that bound, not C(n, m): the
+# exact C(2000000, 1000000) takes 41 s to compute and has 602,057 digits.
+_BASIS_SIZE_CAP_EXP = 18
+
+
+def _basis_size_up_to_cap(space: Grassmannian) -> int | None:
+    """C(n, m), or None past 10^_BASIS_SIZE_CAP_EXP.  The running product
+    C(n - k + i, i), i = 1..k with k = min(m, n - m), rises with i, so it
+    stops as soon as it passes the cap."""
+    cap = 10**_BASIS_SIZE_CAP_EXP
+    k = min(space.m, space.box_cols)
+    top = space.m + space.box_cols - k
+    size = 1
+    for i in range(1, k + 1):
+        size = size * (top + i) // i
+        if size > cap:
+            return None
+    return size
+
+
+def _require_basis_within(space: Grassmannian, limit: int, command: str) -> int:
+    """Refuse a space past `limit` Schubert classes, from C(n, m) alone;
+    return C(n, m) otherwise."""
+    size = _basis_size_up_to_cap(space)
+    if size is None or size > limit:
+        got = size if size is not None else f"more than 10^{_BASIS_SIZE_CAP_EXP}"
         raise NotComputableError(
-            f"{command} is computed for basis size <= {limit} (work limit), got {size}"
+            f"{command} is computed for basis size <= {limit} (work limit), got {got}"
         )
+    return size
 
 
 def _cmd_basis(args):
     space = parse_space(args.space)
-    _require_basis_within(space, MAX_BASIS, "basis")
-    if (cells := space.basis_size() * space.m) > MAX_BASIS_CELLS:
+    size = _require_basis_within(space, MAX_BASIS, "basis")
+    if (cells := size * space.m) > MAX_BASIS_CELLS:
         raise NotComputableError(
             f"basis is computed for basis size x rows <= {MAX_BASIS_CELLS} (work limit), "
             f"got {cells}"

@@ -101,7 +101,9 @@ class QuantumClass:
     def sorted_terms(self) -> list[tuple[int, Partition, int]]:
         return [(d, p, self.terms[(d, p)]) for d, p in sorted(self.terms)]
 
-    def __add__(self, other: "QuantumClass") -> "QuantumClass":
+    def __add__(self, other):
+        if not isinstance(other, QuantumClass):
+            return NotImplemented
         if self.space != other.space:
             raise ValueError("cannot add classes on different spaces")
         merged = dict(self.terms)
@@ -110,19 +112,26 @@ class QuantumClass:
         return QuantumClass(self.space, merged)
 
     def __mul__(self, other):
+        """The product with an integer or with another class.  Each pair of
+        terms makes quantum_product's two box checks, then reads the
+        Schubert product from the terms _product_terms caches, with no
+        QuantumClass built per pair."""
         if isinstance(other, int):
             return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
         if not isinstance(other, QuantumClass):
             return NotImplemented
-        if self.space != other.space:
+        space = self.space
+        if space != other.space:
             raise ValueError("cannot multiply classes on different spaces")
         out: dict[tuple[int, Partition], int] = {}
         for (d1, p1), c1 in self.terms.items():
             for (d2, p2), c2 in other.terms.items():
-                for (d, p), c in quantum_product(p1, p2, self.space).terms.items():
+                space.require_in_box(p1)
+                space.require_in_box(p2)
+                for (d, p), c in _product_terms(p1, p2, space):
                     key = (d + d1 + d2, p)
                     out[key] = out.get(key, 0) + c1 * c2 * c
-        return QuantumClass(self.space, out)
+        return QuantumClass(space, out)
 
     __rmul__ = __mul__
 

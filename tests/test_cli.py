@@ -261,6 +261,24 @@ def test_lr_over_the_work_limit_exits_4(child_env):
     assert proc.stderr == "error: lr is computed for |nu| <= 50 (work limit), got 90\n"
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["qmul", "G(1000000,2000000)", "1", "1"], 2000),
+    (["basis", "G(1000000,2000000)"], 200000),
+    (["gw", "G(1000000,2000000)", "-d", "1", "1", "1"], 2000),
+    (["count", "G(1000000,2000000)", "-d", "1", "1", "1"], 2000),
+    (["qtable", "G(1000000,2000000)"], 126),
+])
+def test_work_limit_of_a_huge_space_skips_the_full_binomial(child_env, argv, limit):
+    # the exact C(2000000, 1000000) took 41 s to compute and 6 s more to print
+    proc = run_child(child_env, *argv)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        f"error: {argv[0]} is computed for basis size <= {limit} (work limit), "
+        "got more than 10^18\n"
+    )
+    assert len(proc.stderr.encode()) < 200
+
+
 def test_deep_boxes_answer_or_exit_4(child_env):
     def ones(k):
         return ",".join(["1"] * k)

@@ -23,6 +23,7 @@ from oracles import remove_rim_hook, removable_hooks, rim_hook_reduce_oracle
 G24 = grassmannian(2, 4)
 G25 = grassmannian(2, 5)
 G36 = grassmannian(3, 6)
+G37 = grassmannian(3, 7)
 P2 = grassmannian(1, 3)
 
 
@@ -211,6 +212,70 @@ def test_quantum_class_algebra():
     assert (s1 * s1).terms == {(0, (2,)): 1, (0, (1, 1)): 1}
     with pytest.raises(ValueError):
         s1 + QuantumClass.unit(P2)
+
+
+def test_adding_a_non_class_raises_type_error():
+    s1 = QuantumClass.from_partition(G24, (1,))
+    with pytest.raises(TypeError):
+        s1 + 1
+    with pytest.raises(TypeError):
+        1 + s1
+
+
+@st.composite
+def _class_pair(draw):
+    """Two integer combinations on one space, with negative coefficients, q
+    powers up to 2, and terms that cancel as the combination is summed."""
+    space = draw(st.sampled_from((G25, G36, G37)))
+    term = st.tuples(st.integers(0, 2), st.sampled_from(space.basis()), st.integers(-3, 3))
+
+    def combination():
+        terms = draw(st.lists(term, max_size=5))
+        if terms:
+            terms += [(d, p, -c) for d, p, c in draw(st.lists(st.sampled_from(terms), max_size=3))]
+        out = QuantumClass(space)
+        for d, p, c in terms:
+            out = out + QuantumClass(space, {(d, p): c})
+        return out
+
+    return space, combination(), combination()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_pair())
+def test_class_product_is_the_termwise_sum_of_schubert_products(case):
+    space, x, y = case
+    expected: dict = {}
+    for (d1, p1), c1 in x.terms.items():
+        for (d2, p2), c2 in y.terms.items():
+            for (d, p), c in quantum_product(p1, p2, space).terms.items():
+                key = (d1 + d2 + d, p)
+                expected[key] = expected.get(key, 0) + c1 * c2 * c
+    assert x * y == QuantumClass(space, expected)
+    assert x * y == y * x
+
+
+def test_class_product_cancels_terms():
+    s1 = QuantumClass.from_partition(G25, (1,))
+    diff = QuantumClass(G25, {(0, (1, 1)): 1, (0, (2,)): -1})
+    assert (s1 * diff).terms == {(0, (3,)): -1}  # s[2,1] cancels
+
+
+def test_class_product_checks_the_box_of_each_term():
+    good = QuantumClass.from_partition(G25, (1,))
+    wide = QuantumClass(G25, {(0, (4,)): 1})
+    tall = QuantumClass(G25, {(1, (1, 1, 1)): 2})
+    for left, right, text in (
+        (wide, good, "partition 4 does not fit the 2x3 box of G(2,5)"),
+        (good, wide, "partition 4 does not fit the 2x3 box of G(2,5)"),
+        (wide, tall, "partition 4 does not fit the 2x3 box of G(2,5)"),
+        (tall, wide, "partition 1,1,1 does not fit the 2x3 box of G(2,5)"),
+    ):
+        with pytest.raises(BoxError) as err:
+            left * right
+        assert str(err.value) == text
+    zero = QuantumClass(G25)
+    assert str(zero * wide) == str(wide * zero) == "0"
 
 
 def test_quantum_class_rendering():
