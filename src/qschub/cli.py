@@ -23,6 +23,7 @@ from .errors import (
     NotComputableError,
     UnbalancedQueryError,
     UnsupportedFamilyError,
+    require_within,
 )
 from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
@@ -33,7 +34,7 @@ from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
-MAX_QTABLE_BASIS = 126  # G(4,9) and G(5,9) take about 1 s; G(5,10) (252 classes) about 6 s
+MAX_QTABLE_BASIS = 126  # G(4,9), G(5,9): about 0.7 s end to end; G(5,10) (252 classes) 4.7 s
 # qmul, gw and count all reach quantum_product's LR expansion, which grows
 # with the rows of the box, so tall spaces set this: the slowest product
 # found within the bound squares 2^30 1^30 on G(61,63) (1,953 classes) in
@@ -50,6 +51,11 @@ MAX_BASIS = 200_000  # G(10,20) lists 184,756 classes in about 2 s; G(11,22) tak
 # slowest found end to end are G(1999,2000) (3,998,000) and G(19,25) at
 # 2.5-3 s; G(400,402) (32,240,400, within MAX_BASIS) takes about 16 s.
 MAX_BASIS_CELLS = 4_000_000
+# info prints C(n, m) and one kernel/span line per degree: G(20000,2300000)
+# --json (49,859 digits, 20,000 lines) takes about 0.4 s end to end, while
+# G(100000,200000) took 1.7 s and OG(200000,400001) 1.1 s and 4.6 MB.
+MAX_INFO_LINES = 20_000
+MAX_INFO_DIGITS = 50_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,19 +148,25 @@ _TERM_FIELDS = itemgetter("q", "partition", "coeff")
 
 def _cmd_info(args):
     space = parse_space(args.space)
+    lines = min(space.critical_degree(), space.m)
+    require_within("info", "kernel/span lines", MAX_INFO_LINES, lines)
     data = space.to_json()
     data["critical_degree"] = space.critical_degree()
     if space.family == "A":
+        # the sum has min(m, n - m) = lines terms
+        digits = int(space.basis_size_log10()) + 1
+        require_within("info", "digits of C(n, m)", MAX_INFO_DIGITS, digits)
         data["dimension"] = space.dimension()
         data["c1_degree"] = space.c1_degree()
         data["box"] = {"rows": space.m, "cols": space.box_cols}
-        data["basis_size"] = space.basis_size()
+        data["basis_size"] = space.basis_size(MAX_INFO_DIGITS)
     else:
         data["k"] = space.k_value()
         data["maximal"] = space.is_maximal
     data["kernel_span"] = [
-        {"d": d, "kernel": space.kernel_span_dims(d)[0], "span": space.kernel_span_dims(d)[1]}
-        for d in range(1, min(space.critical_degree(), space.m) + 1)
+        {"d": d, "kernel": kernel, "span": span}
+        for d in range(1, lines + 1)
+        for kernel, span in [space.kernel_span_dims(d)]
     ]
     return data, space, 0
 
@@ -177,55 +189,17 @@ def _render_info(payload):
     return lines
 
 
-# Past 10^18 classes a work-limit message names that bound, not C(n, m): the
-# exact C(2000000, 1000000) takes 41 s to compute and has 602,057 digits.
-_BASIS_SIZE_CAP_EXP = 18
-
-
-def _basis_size_up_to_cap(space: Grassmannian) -> int | None:
-    """C(n, m), or None past 10^_BASIS_SIZE_CAP_EXP.  The running product
-    C(n - k + i, i), i = 1..k with k = min(m, n - m), rises with i, so it
-    stops as soon as it passes the cap."""
-    cap = 10**_BASIS_SIZE_CAP_EXP
-    k = min(space.m, space.box_cols)
-    top = space.m + space.box_cols - k
-    size = 1
-    for i in range(1, k + 1):
-        size = size * (top + i) // i
-        if size > cap:
-            return None
-    return size
-
-
-def _require_basis_within(space: Grassmannian, limit: int, command: str) -> int:
-    """Refuse a space past `limit` Schubert classes, from C(n, m) alone;
-    return C(n, m) otherwise."""
-    size = _basis_size_up_to_cap(space)
-    if size is None or size > limit:
-        got = size if size is not None else f"more than 10^{_BASIS_SIZE_CAP_EXP}"
-        raise NotComputableError(
-            f"{command} is computed for basis size <= {limit} (work limit), got {got}"
-        )
-    return size
-
-
 def _cmd_basis(args):
     space = parse_space(args.space)
-    size = _require_basis_within(space, MAX_BASIS, "basis")
-    if (cells := size * space.m) > MAX_BASIS_CELLS:
-        raise NotComputableError(
-            f"basis is computed for basis size x rows <= {MAX_BASIS_CELLS} (work limit), "
-            f"got {cells}"
-        )
+    size = space.basis_size()
+    require_within("basis", "basis size", MAX_BASIS, size)
+    require_within("basis", "basis size x rows", MAX_BASIS_CELLS, size * space.m)
     return {"partitions": [format_partition(p) for p in space.basis()]}, space, 0
 
 
 def _cmd_lr(args):
     lam, mu, nu = (parse_partition(t) for t in (args.lam, args.mu, args.nu))
-    if (cells := weight(nu)) > MAX_LR_CELLS:
-        raise NotComputableError(
-            f"lr is computed for |nu| <= {MAX_LR_CELLS} (work limit), got {cells}"
-        )
+    require_within("lr", "|nu|", MAX_LR_CELLS, weight(nu))
     return {"coefficient": lr_coefficient(lam, mu, nu)}, None, 0
 
 
@@ -233,23 +207,19 @@ def _cmd_qmul(args):
     space = parse_space(args.space)
     lam = _class_arg(args.lam, space)
     mu = _class_arg(args.mu, space)
-    _require_basis_within(space, MAX_QMUL_BASIS, "qmul")
+    require_within("qmul", "basis size", MAX_QMUL_BASIS, space.basis_size())
     return {"terms": _terms_json(quantum_product(lam, mu, space))}, space, 0
 
 
 def _cmd_qtable(args):
     space = parse_space(args.space)
-    _require_basis_within(space, MAX_QTABLE_BASIS, "qtable")
+    require_within("qtable", "basis size", MAX_QTABLE_BASIS, space.basis_size())
     basis = space.basis()
     table = product_table(space)
     rows = [
-        {
-            "left": format_partition(lam),
-            "right": format_partition(mu),
-            "terms": _terms_json(table[lam, mu]),
-        }
-        for lam in basis
-        for mu in basis
+        {"left": format_partition(lam), "right": format_partition(mu),
+         "terms": _terms_json(table[lam, mu])}
+        for lam in basis for mu in basis
     ]
     return {"rows": rows}, space, 0
 
@@ -257,33 +227,29 @@ def _cmd_qtable(args):
 def _cmd_gw(args):
     space = parse_space(args.space)
     insertions = tuple(_class_arg(t, space) for t in args.insertions)
-    _require_basis_within(space, MAX_QMUL_BASIS, "gw")
+    require_within("gw", "basis size", MAX_QMUL_BASIS, space.basis_size())
     query = GWQuery(space, args.degree, insertions)
     if args.degree == 0:
-        if len(insertions) != 3:
-            raise NotComputableError("degree-0 invariants are computed for exactly 3 insertions")
+        if len(insertions) < 3:
+            raise NotComputableError("degree-0 invariants are computed for at least 3 insertions")
         query.require_balanced()
-        value = gw_3point(space, insertions[0], insertions[1], insertions[2], 0)
+        # Past three insertions every evaluation map factors through the
+        # space, so the integrand is pulled back from it and has degree
+        # above its dimension (Fulton-Pandharipande, Notes on stable maps).
+        value = gw_3point(space, *insertions, 0) if len(insertions) == 3 else 0
     else:
         value = gw_spoint(query)
-    payload = {
-        "degree": args.degree,
-        "insertions": [format_partition(p) for p in insertions],
-        "value": value,
-    }
+    payload = {"degree": args.degree, "insertions": [format_partition(p) for p in insertions],
+               "value": value}
     return payload, space, 0
 
 
 def _cmd_count(args):
     space = parse_space(args.space)
     conditions = tuple(_class_arg(t, space) for t in args.conditions)
-    _require_basis_within(space, MAX_QMUL_BASIS, "count")
+    require_within("count", "basis size", MAX_QMUL_BASIS, space.basis_size())
     result = rational_curve_count(CountProblem(space, args.degree, conditions))
-    payload = {
-        "gw": result.gw_value,
-        "r": result.divisor_conditions,
-        "count": result.curve_count,
-    }
+    payload = {"gw": result.gw_value, "r": result.divisor_conditions, "count": result.curve_count}
     return payload, space, 0
 
 

@@ -16,7 +16,7 @@ products up to degree d.  Degrees above MAX_ND_DEGREE are refused rather
 than left to run for long.
 """
 
-from .errors import NotComputableError
+from .errors import require_within
 
 MAX_ND_DEGREE = 500  # N_500 takes about 1.5 s in process; N_1000 about 30 s
 
@@ -28,10 +28,7 @@ def kontsevich_nd(d: int) -> int:
     general points, by the associativity recursion from N_1 = 1."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if d > MAX_ND_DEGREE:
-        raise NotComputableError(
-            f"N_d is computed for d <= {MAX_ND_DEGREE} (work limit), got {d}"
-        )
+    require_within("N_d", "d", MAX_ND_DEGREE, d)
     while len(_table) <= d:
         e = len(_table)
         n = 3 * e - 4

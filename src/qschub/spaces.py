@@ -13,7 +13,7 @@ deliberately raises UnsupportedFamilyError instead of guessing:
 
 import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf, log10
 
 from .errors import BoxError, DegreeRangeError, UnsupportedFamilyError
 from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box, format_partition
@@ -21,6 +21,14 @@ from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box, form
 _FAMILIES = frozenset("ABCD")
 
 _ISOTROPIC_MSG = "isotropic quantum products out of scope"
+
+
+class MoreThan(int):
+    """A count known only to pass a power of ten, 10^e: it holds 10^e + 1
+    and prints as "more than 10^e"."""
+
+    def __str__(self) -> str:
+        return f"more than 10^{round(log10(self - 1))}"
 
 
 @dataclass(frozen=True)
@@ -130,9 +138,26 @@ class Grassmannian:
         """Schubert basis indices in deterministic order."""
         return enumerate_box(self.m, self.box_cols)
 
-    def basis_size(self) -> int:
-        """The number of Schubert classes, C(n, m), without enumerating them."""
-        return comb(self.m + self.box_cols, self.m)
+    def basis_size_log10(self, stop: float = inf) -> float:
+        """log10 C(n, m) as the sum over i = 1..k = min(m, n - m) of
+        log10((n - k + i) / i), or a partial sum once it passes `stop`; each
+        term is at least log10 2, so that takes at most stop / log10 2 + 1."""
+        k = min(self.m, self.box_cols)
+        total = 0.0
+        for i in range(1, k + 1):
+            total += log10(self.n - k + i) - log10(i)
+            if total > stop:
+                break
+        return total
+
+    def basis_size(self, cap_exp: int = 18) -> int:
+        """The number of Schubert classes, C(n, m), up to 10^cap_exp, and
+        MoreThan(10^cap_exp + 1) past it.  It is computed only when its
+        logarithm is not past the cap: C(2000000, 1000000) would take 41 s."""
+        stop = cap_exp * (1 + 1e-9)  # room for the float sum's rounding
+        if self.basis_size_log10(stop) <= stop and (size := comb(self.n, self.m)) <= 10**cap_exp:
+            return size
+        return MoreThan(10**cap_exp + 1)
 
     def dual(self, p: Partition) -> Partition:
         return dual_in_box(p, self.m, self.box_cols)

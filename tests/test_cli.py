@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -277,6 +279,122 @@ def test_work_limit_of_a_huge_space_skips_the_full_binomial(child_env, argv, lim
         "got more than 10^18\n"
     )
     assert len(proc.stderr.encode()) < 200
+
+
+# the one message shape every work limit raises, on exactly one line
+_WORK_LIMIT = re.compile(r"error: \S+ is computed for [^\n]+ <= \d+ \(work limit\), got [^\n]+\n")
+
+
+@pytest.mark.parametrize("argv, got", [
+    (["info", "G(20001,40002)"], "20001"),
+    (["info", "IG(20001,40002)"], "20001"),
+    (["info", "OG(40002,80005)"], "20001"),
+    (["info", "G(20000,2337364)"], "50001"),
+    (["basis", "G(8,21)"], "203490"),
+    (["basis", "G(2000,2001)"], "4002000"),
+    (["lr", "1", "50", "51"], "51"),
+    (["qmul", "G(5,14)", "1", "1"], "2002"),
+    (["gw", "G(5,14)", "-d", "1", "1", "1"], "2002"),
+    (["count", "G(5,14)", "-d", "1", "1", "1"], "2002"),
+    (["qtable", "G(2,17)"], "136"),
+    (["nd", "501"], "501"),
+    (["nd", "--upto", "501"], "501"),
+])
+def test_every_bounded_command_refuses_just_past_its_limit_at_once(child_env, argv, got):
+    start = time.perf_counter()
+    proc = run_child(child_env, *argv)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert _WORK_LIMIT.fullmatch(proc.stderr), proc.stderr
+    assert proc.stderr.endswith(f", got {got}\n")
+    assert elapsed < 1
+
+
+def test_info_at_both_of_its_limits_answers(child_env):
+    # 20,000 kernel/span lines and a C(n, m) of 50,000 digits
+    proc = run_child(child_env, "info", "G(20000,2337363)", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["basis_size"] == comb(2337363, 20000)
+    assert len(result["kernel_span"]) == 20000
+
+
+def test_info_of_a_huge_space_exits_4_at_once(child_env):
+    for argv, err in (
+        (["info", "G(1000000,2000000)"], "kernel/span lines <= 20000 (work limit), got 1000000"),
+        (["info", "OG(200000,400001)"], "kernel/span lines <= 20000 (work limit), got 100000"),
+        (["info", "G(100,1" + "0" * 600 + ")"], "digits of C(n, m) <= 50000 (work limit), got 59843"),
+    ):
+        start = time.perf_counter()
+        proc = run_child(child_env, *argv)
+        assert time.perf_counter() - start < 1, argv[1][:20]
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == f"error: info is computed for {err}\n"
+
+
+def test_info_reads_each_kernel_span_pair_once(capsys, monkeypatch):
+    from qschub.spaces import Grassmannian
+
+    calls = []
+    original = Grassmannian.kernel_span_dims
+
+    def counted(self, d):
+        calls.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(Grassmannian, "kernel_span_dims", counted)
+    code, out, _ = run(capsys, "info", "G(3,7)")
+    assert code == 0
+    assert calls == [1, 2, 3]
+    assert out.splitlines()[-3:] == [
+        "kernel/span dims at d=1: (2, 4)",
+        "kernel/span dims at d=2: (1, 5)",
+        "kernel/span dims at d=3: (0, 6)",
+    ]
+
+
+def test_work_limits_share_one_check():
+    from pathlib import Path
+
+    import qschub
+    from qschub.errors import NotComputableError, require_within
+
+    require_within("x", "y", 5, 5)
+    with pytest.raises(NotComputableError) as info:
+        require_within("x", "y", 5, 6)
+    assert str(info.value) == "x is computed for y <= 5 (work limit), got 6"
+    package = Path(qschub.__file__).parent
+    assert sum(p.read_text().count("(work limit)") for p in package.glob("*.py")) == 1
+
+
+def test_gw_degree_zero_past_three_insertions_is_zero(capsys):
+    # balanced: the integrand is pulled back from the space, past its dimension
+    for argv in (
+        ["gw", "G(2,4)", "-d", "0", "2,2", "1", "0", "0"],
+        ["gw", "G(2,4)", "-d", "0", "2,2", "1", "1", "0", "0"],
+        ["gw", "G(3,6)", "-d", "0", "3,3,3", "1", "1", "1", "0", "0"],
+        ["gw", "G(1,3)", "-d", "0", "pt", "1", "0", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "0\n", ""), argv
+    code, out, _ = run(capsys, "gw", "G(2,4)", "-d", "0", "2,2", "1", "0", "0", "--json")
+    assert json.loads(out)["result"] == {"degree": 0, "insertions": ["2,2", "1", "0", "0"],
+                                         "value": 0}
+
+
+def test_gw_degree_zero_keeps_its_refusals(capsys):
+    for argv, expected in (
+        (["gw", "G(2,4)", "-d", "0", "1", "1", "1", "1"],
+         (3, "error: codimensions sum to 4, moduli dimension is 5\n")),
+        (["gw", "G(2,4)", "-d", "0", "1", "1"],
+         (4, "error: degree-0 invariants are computed for at least 3 insertions\n")),
+        (["gw", "G(10,20)", "-d", "0", "1", "1", "1", "1"],
+         (4, f"error: gw is computed for basis size <= 2000 (work limit), got {comb(20, 10)}\n")),
+        (["gw", "G(2,4)", "-d", "0", "3", "1", "1", "1"],
+         (3, "error: partition 3 does not fit the 2x2 box of G(2,4)\n")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (expected[0], "", expected[1]), argv
 
 
 def test_deep_boxes_answer_or_exit_4(child_env):

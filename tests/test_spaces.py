@@ -1,7 +1,9 @@
+from math import comb, log10
+
 import pytest
 
 from qschub.errors import DegreeRangeError, UnsupportedFamilyError
-from qschub.spaces import Grassmannian, grassmannian, parse_space
+from qschub.spaces import Grassmannian, MoreThan, grassmannian, parse_space
 
 
 def test_parse_notation_round_trip():
@@ -123,3 +125,29 @@ def test_to_json():
         "n": 4,
         "notation": "G(2,4)",
     }
+
+
+def test_basis_size_is_exact_up_to_its_cap():
+    for n in range(2, 70):
+        for m in range(1, n):
+            exact = comb(n, m)
+            for cap_exp in (1, 3, 18):
+                size = grassmannian(m, n).basis_size(cap_exp)
+                if exact <= 10**cap_exp:
+                    assert (type(size), size) == (int, exact), (m, n, cap_exp)
+                else:
+                    assert isinstance(size, MoreThan), (m, n, cap_exp)
+                    assert size == 10**cap_exp + 1
+                    assert str(size) == f"more than 10^{cap_exp}"
+    assert grassmannian(1, 10**18).basis_size() == 10**18
+    assert str(grassmannian(1, 10**18 + 1).basis_size()) == "more than 10^18"
+    with pytest.raises(UnsupportedFamilyError):
+        parse_space("OG(2,8)").basis_size()
+
+
+def test_basis_size_log10_stops_once_past():
+    for m, n in ((3, 7), (10, 20), (40, 80), (17, 200)):
+        assert grassmannian(m, n).basis_size_log10() == pytest.approx(log10(comb(n, m)), rel=1e-12)
+    # a million terms in full; each is at least log10 2, so at most 61 before passing 18
+    partial = grassmannian(10**6, 2 * 10**6).basis_size_log10(18)
+    assert 18 < partial < 18 + log10(2 * 10**6)
