@@ -12,19 +12,23 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from qschub.plane_curves import MAX_ND_DEGREE, nd_values, reset_cache
+from qschub.errors import NotComputableError
+from qschub.plane_curves import nd_values, reset_cache
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--upto", type=int, default=20)
     args = parser.parse_args()
-    if not 1 <= args.upto <= MAX_ND_DEGREE:
-        parser.error(f"--upto must be in 1..{MAX_ND_DEGREE} (work limit), got {args.upto}")
+    if args.upto < 1:
+        parser.error(f"--upto must be at least 1, got {args.upto}")
 
     reset_cache()
     start = time.perf_counter()
-    values = nd_values(args.upto)
+    try:
+        values = nd_values(args.upto)
+    except NotComputableError as exc:  # past the work limit: exit 4, as the qschub CLI does
+        parser.exit(4, f"error: {exc}\n")
     elapsed = time.perf_counter() - start
 
     lines = [f"{'d':>3} {'N_d':>42} {'ratio':>14} {'normalized':>11}"]

@@ -7,15 +7,20 @@ mismatch, 4 not computable (out-of-scope query or over a work limit).
 Errors print a single machine-greppable line to stderr.  Each command
 builds one result payload; the text mode renders that payload and the
 --json mode wraps it in a stable versioned document, so the two encodings
-always carry identical data.  Nothing is written to disk unless
---json -o PATH is given.
+always carry identical data.  qtable alone streams: its payload holds the
+Pieri table's rows as product_table yields them, and each row is written
+in either encoding as soon as it is built, in the bytes the whole document
+would have had, so its two encodings carry identical data too.  Nothing is
+written to disk unless --json -o PATH is given, and PATH is opened only
+after the command's limits have been checked.
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from operator import itemgetter
-from pathlib import Path
+from typing import Iterator
 
 from .counting import CountProblem, rational_curve_count
 from .errors import (
@@ -34,7 +39,15 @@ from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
-MAX_QTABLE_BASIS = 126  # G(4,9), G(5,9): about 0.7 s end to end; G(5,10) (252 classes) 4.7 s
+# qtable writes each row as it is built, so its peak RSS stays near the Pieri
+# memo plus one row: 17 MB for G(4,9) --json, where building the whole
+# document first took 115 MB.  Time sets the bound: no --json case within it
+# may take longer than G(4,9) --json did then, 1.35 s end to end (median of
+# runs alternating with the ones below).  The slowest found within it are
+# G(2,20) (190 classes) and G(1,209), at about 0.97 s; sizes 191-209 hold only
+# G(1,n) and G(n-1,n).  G(4,10), the first space past it (210 classes), takes
+# 1.38 s, and G(3,12) (220) 2.1 s.
+MAX_QTABLE_BASIS = 209
 # qmul, gw and count all reach quantum_product's LR expansion, which grows
 # with the rows of the box, so tall spaces set this: the slowest product
 # found within the bound squares 2^30 1^30 on G(61,63) (1,953 classes) in
@@ -214,14 +227,52 @@ def _cmd_qmul(args):
 def _cmd_qtable(args):
     space = parse_space(args.space)
     require_within("qtable", "basis size", MAX_QTABLE_BASIS, space.basis_size())
-    basis = space.basis()
-    table = product_table(space)
-    rows = [
-        {"left": format_partition(lam), "right": format_partition(mu),
-         "terms": _terms_json(table[lam, mu])}
-        for lam in basis for mu in basis
-    ]
-    return {"rows": rows}, space, 0
+    # rows are built while they are written, by _qtable_text or _qtable_json
+    return {"rows": product_table(space)}, space, 0
+
+
+def _qtable_line(left: str, right: str, terms) -> str:
+    """One text line of the table, from the product's (q power, partition
+    text, coefficient) terms."""
+    return f"s[{left}] * s[{right}] = {format_terms(terms)}"
+
+
+def _qtable_text(rows) -> Iterator[str]:
+    """The text lines of product_table's rows, one chunk per row."""
+    names: dict[Partition, str] = {}
+    for lam, row in rows:
+        names = names or {mu: format_partition(mu) for mu in row}  # every row spans the basis
+        left = names[lam]
+        yield "".join(
+            _qtable_line(left, names[mu],
+                         [(d, names[p], c) for (d, p), c in sorted(terms.items())]) + "\n"
+            for mu, terms in row.items()
+        )
+
+
+def _qtable_json(rows) -> Iterator[str]:
+    """The JSON list of product_table's rows, one chunk per row, in the
+    bytes json.dumps(doc, indent=2) writes for the list at depth 2 of the
+    document: its entries at depth 3, their terms at depth 5.  Partition
+    text is digits and commas, which JSON does not escape."""
+    names: dict[Partition, str] = {}
+    opening = "[\n      "
+    for lam, row in rows:
+        names = names or {mu: format_partition(mu) for mu in row}  # every row spans the basis
+        left = names[lam]
+        entries = []
+        for mu, terms in row.items():
+            body = ",\n          ".join([
+                f'{{\n            "q": {d},\n            "partition": "{names[p]}",'
+                f'\n            "coeff": {c}\n          }}'
+                for (d, p), c in sorted(terms.items())
+            ])
+            body = f"[\n          {body}\n        ]" if body else "[]"
+            entries.append(f'{{\n        "left": "{left}",\n        "right": "{names[mu]}",'
+                           f'\n        "terms": {body}\n      }}')
+        yield opening + ",\n      ".join(entries)
+        opening = ",\n      "
+    yield "[]" if opening.startswith("[") else "\n    ]"
 
 
 def _cmd_gw(args):
@@ -314,8 +365,10 @@ _TEXT_RENDERERS = {
     "basis": lambda payload: list(payload["partitions"]),
     "lr": lambda payload: [str(payload["coefficient"])],
     "qmul": lambda payload: [format_terms(map(_TERM_FIELDS, payload["terms"]))],
+    # the text of a decoded --json qtable document; the command streams its
+    # own lines through _qtable_text
     "qtable": lambda payload: [
-        f"s[{row['left']}] * s[{row['right']}] = {format_terms(map(_TERM_FIELDS, row['terms']))}"
+        _qtable_line(row["left"], row["right"], map(_TERM_FIELDS, row["terms"]))
         for row in payload["rows"]
     ],
     "gw": lambda payload: [str(payload["value"])],
@@ -333,6 +386,42 @@ def render_text(command: str, payload: dict) -> list[str]:
     return _TEXT_RENDERERS[command](payload)
 
 
+@contextmanager
+def _output(path: str | None):
+    """The -o file, opened for writing, or stdout."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+
+
+def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
+    """The command's output in chunks: its text lines, or its --json
+    document, with qtable's rows written as they are built."""
+    streamed = args.command == "qtable"
+    if not args.json:
+        if streamed:
+            yield from _qtable_text(payload["rows"])
+        else:
+            yield "".join(line + "\n" for line in render_text(args.command, payload))
+        return
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "command": args.command,
+        "space": space.to_json() if space is not None else None,
+        "result": {"rows": []} if streamed else payload,
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    if streamed:
+        head, tail = text.split('"rows": []')
+        yield head + '"rows": '
+        yield from _qtable_json(payload["rows"])
+        yield tail
+    else:
+        yield text
+
+
 def parse_and_dispatch(argv: list[str]) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # N_d outgrows the default 4,300-digit limit at d = 572
@@ -345,21 +434,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return 2
     try:
         payload, space, code = _HANDLERS[args.command](args)
-        if args.json:
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "command": args.command,
-                "space": space.to_json() if space is not None else None,
-                "result": payload,
-            }
-            text = json.dumps(doc, indent=2)
-            if args.output:
-                Path(args.output).write_text(text + "\n", encoding="utf-8")
-            else:
-                print(text)
-        else:
-            for line in render_text(args.command, payload):
-                print(line)
+        with _output(args.output) as out:
+            for chunk in _encode(args, payload, space):
+                out.write(chunk)
     except (UnsupportedFamilyError, NotComputableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -11,8 +11,10 @@ n-core does not fit the m x (n-m) box, i.e. two beads share a runner,
 contributes nothing.  That path serves single products (quantum_product,
 behind one memo cache).  Whole tables come from the quantum Pieri rule
 instead (product_table): each row is built from Pieri steps alone, which is
-cheap for a whole row but pulls in most of a row for one product.  The two
-paths share no code, and selfcheck compares them on every pair it visits.
+cheap for a whole row but pulls in most of a row for one product, and the
+rows are yielded one at a time so that a table is rendered as it is built.
+The two paths share no code, and selfcheck compares them on every pair it
+visits.
 """
 
 from dataclasses import dataclass, field
@@ -221,14 +223,20 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     return QuantumClass(space, terms)
 
 
-def product_table(space: Grassmannian) -> dict[tuple[Partition, Partition], QuantumClass]:
+def product_table(
+    space: Grassmannian,
+) -> Iterator[tuple[Partition, dict[Partition, dict[tuple[int, Partition], int]]]]:
     """Every product s[lam] * s[mu] of two basis classes, from quantum Pieri
-    alone (Bertram).  With mu = (a, rest), Pieri gives s[a] * s[rest] = s[mu]
-    + (classes of the same weight with first row > a) + q * (classes of lower
-    weight), so each row is built with mu by weight, then by first row
-    descending, as s[a] * (s[lam] * s[rest]) minus s[lam] times the other
-    terms of s[a] * s[rest].  The Pieri products are memoized for this call
-    only.  It runs neither LR nor rim-hook reduction, so it and
+    alone (Bertram), as one row (lam, {mu: terms}) per basis class lam.  Rows
+    and the mu of each row come in basis order; terms maps (q power,
+    partition) to a nonzero coefficient.  With mu = (a, rest), Pieri gives
+    s[a] * s[rest] = s[mu] + (classes of the same weight with first row > a)
+    + q * (classes of lower weight), so each row is built with mu by weight,
+    then by first row descending, as s[a] * (s[lam] * s[rest]) minus s[lam]
+    times the other terms of s[a] * s[rest].  The Pieri products are
+    memoized for this call only, and a row is yielded as soon as it is
+    built, so a caller that renders rows as they come holds the memo and one
+    row.  It runs neither LR nor rim-hook reduction, so it and
     quantum_product check each other."""
     pieri: dict[tuple[int, Partition], dict[tuple[int, Partition], int]] = {}
 
@@ -238,7 +246,6 @@ def product_table(space: Grassmannian) -> dict[tuple[Partition, Partition], Quan
         return pieri[a, kappa]
 
     basis = space.basis()  # by weight, then by first row descending
-    table = {}
     for lam in basis:
         row: dict[Partition, dict[tuple[int, Partition], int]] = {(): {(0, lam): 1}}
         for mu in basis[1:]:
@@ -255,9 +262,7 @@ def product_table(space: Grassmannian) -> dict[tuple[Partition, Partition], Quan
                     key = (d + e, kappa)
                     terms[key] = terms.get(key, 0) - b * c
             row[mu] = {key: c for key, c in terms.items() if c}
-        for mu, terms in row.items():
-            table[lam, mu] = QuantumClass(space, terms)
-    return table
+        yield lam, row
 
 
 def clear_cache() -> None:

@@ -67,11 +67,11 @@ def check_products(spaces) -> list[SuiteResult]:
     names = ("unit", "commutativity", "grading", "positivity", "classical_layer", "dual_path")
     unit, commutativity, grading, positivity, classical, dual_path = map(SuiteResult, names)
     for space in spaces:
-        table = product_table(space)
+        rows = dict(product_table(space))
         for lam, mu in combinations_with_replacement(space.basis(), 2):
             product = quantum_product(lam, mu, space)
             label = f"{space}: {lam} * {mu}"
-            dual_path.expect(product == table[lam, mu], f"{label} differs from its Pieri row")
+            dual_path.expect(product.terms == rows[lam][mu], f"{label} differs from its Pieri row")
             if not lam:
                 unit.expect(
                     product == QuantumClass.from_partition(space, mu), f"{space}: unit * {mu}"

@@ -191,10 +191,10 @@ def test_nd_over_the_work_limit_exits_4(capsys):
 def test_qtable_over_the_work_limit_exits_4(child_env):
     from qschub.cli import MAX_QTABLE_BASIS
 
-    assert MAX_QTABLE_BASIS == 126
+    assert MAX_QTABLE_BASIS == 209
     proc = run_child(child_env, "qtable", "G(4,10)")
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr == "error: qtable is computed for basis size <= 126 (work limit), got 210\n"
+    assert proc.stderr == "error: qtable is computed for basis size <= 209 (work limit), got 210\n"
 
 
 def test_qmul_over_the_work_limit_exits_4(child_env):
@@ -268,7 +268,7 @@ def test_lr_over_the_work_limit_exits_4(child_env):
     (["basis", "G(1000000,2000000)"], 200000),
     (["gw", "G(1000000,2000000)", "-d", "1", "1", "1"], 2000),
     (["count", "G(1000000,2000000)", "-d", "1", "1", "1"], 2000),
-    (["qtable", "G(1000000,2000000)"], 126),
+    (["qtable", "G(1000000,2000000)"], 209),
 ])
 def test_work_limit_of_a_huge_space_skips_the_full_binomial(child_env, argv, limit):
     # the exact C(2000000, 1000000) took 41 s to compute and 6 s more to print
@@ -296,7 +296,7 @@ _WORK_LIMIT = re.compile(r"error: \S+ is computed for [^\n]+ <= \d+ \(work limit
     (["qmul", "G(5,14)", "1", "1"], "2002"),
     (["gw", "G(5,14)", "-d", "1", "1", "1"], "2002"),
     (["count", "G(5,14)", "-d", "1", "1", "1"], "2002"),
-    (["qtable", "G(2,17)"], "136"),
+    (["qtable", "G(4,10)"], "210"),
     (["nd", "501"], "501"),
     (["nd", "--upto", "501"], "501"),
 ])
@@ -454,6 +454,78 @@ def test_qtable_row_order(capsys):
     ]
     by_pair = {(r["left"], r["right"]): r["terms"] for r in rows}
     assert by_pair[("2", "2")] == [{"q": 1, "partition": "1", "coeff": 1}]
+
+
+def qtable_by_payload(space, as_json):
+    """qtable's output built as it was before rows were streamed: a payload
+    of every row with its _terms_json terms, then one json.dumps(doc,
+    indent=2) of the whole document, or one text line per row."""
+    from qschub.cli import SCHEMA_VERSION, _terms_json
+    from qschub.partitions import format_partition
+    from qschub.quantum import QuantumClass, format_terms, product_table
+
+    rows = [
+        {"left": format_partition(lam), "right": format_partition(mu),
+         "terms": _terms_json(QuantumClass(space, terms))}
+        for lam, row in product_table(space) for mu, terms in row.items()
+    ]
+    if as_json:
+        doc = {"schema": SCHEMA_VERSION, "command": "qtable", "space": space.to_json(),
+               "result": {"rows": rows}}
+        return json.dumps(doc, indent=2) + "\n"
+    return "".join(
+        f"s[{row['left']}] * s[{row['right']}] = "
+        f"{format_terms((t['q'], t['partition'], t['coeff']) for t in row['terms'])}\n"
+        for row in rows
+    )
+
+
+# every G(m,n) with C(n,m) <= 20, then the benchmark's two spaces
+STREAMED_SPACES = [(m, n) for n in range(2, 21) for m in range(1, n) if comb(n, m) <= 20]
+STREAMED_SPACES += [(3, 8), (5, 8)]
+
+
+@pytest.mark.parametrize("mode", ["text", "json", "file"])
+def test_qtable_streams_the_bytes_of_the_whole_document(tmp_path, capsys, mode):
+    from qschub.spaces import grassmannian
+
+    assert len(STREAMED_SPACES) == 45
+    target = tmp_path / "table.json"
+    for m, n in STREAMED_SPACES:
+        argv = ["qtable", f"G({m},{n})"]
+        if mode != "text":
+            argv.append("--json")
+        if mode == "file":
+            argv += ["-o", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        expected = qtable_by_payload(grassmannian(m, n), mode != "text")
+        if mode == "file":
+            assert out == ""
+            out = target.read_bytes().decode("utf-8")
+        assert out == expected, argv
+
+
+def test_qtable_past_its_limit_opens_no_output_file(tmp_path, capsys):
+    from qschub.cli import MAX_QTABLE_BASIS
+
+    target = tmp_path / "table.json"
+    for space in ("G(1000000,2000000)", "G(4,10)"):
+        code, out, err = run(capsys, "qtable", space, "--json", "-o", str(target))
+        assert (code, out) == (4, ""), space
+        assert err.startswith(f"error: qtable is computed for basis size <= {MAX_QTABLE_BASIS} ")
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_qtable_unwritable_output_exits_2_with_the_os_error(tmp_path, capsys, where):
+    if where == "missing":
+        target, reason = tmp_path / "no" / "x.json", "[Errno 2] No such file or directory"
+    else:
+        target, reason = tmp_path, "[Errno 21] Is a directory"
+    code, out, err = run(capsys, "qtable", "G(2,4)", "--json", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}: '{target}'\n"
 
 
 def test_json_output_to_file(tmp_path, capsys):

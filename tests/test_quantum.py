@@ -137,22 +137,24 @@ def test_dual_path_equality(space):
 
 @pytest.mark.parametrize("space", [grassmannian(3, 7), grassmannian(5, 8)])
 def test_product_table_matches_quantum_product_on_every_pair(space):
-    table = product_table(space)
     basis = space.basis()
-    assert len(table) == len(basis) ** 2
-    for lam in basis:
-        for mu in basis:
-            assert table[lam, mu] == quantum_product(lam, mu, space), (lam, mu)
+    rows = list(product_table(space))
+    # one row per class, each over every class, both in basis order
+    assert [lam for lam, _ in rows] == basis
+    for lam, row in rows:
+        assert list(row) == basis
+        for mu, terms in row.items():
+            assert terms == quantum_product(lam, mu, space).terms, (lam, mu)
 
 
 def test_product_table_matches_quantum_product_on_sampled_pairs_of_g49():
     space = grassmannian(4, 9)
-    table = product_table(space)
+    rows = dict(product_table(space))
     basis = space.basis()
     rng = random.Random(20261018)
     for _ in range(300):
         lam, mu = rng.choice(basis), rng.choice(basis)
-        assert table[lam, mu] == quantum_product(lam, mu, space), (lam, mu)
+        assert rows[lam][mu] == quantum_product(lam, mu, space).terms, (lam, mu)
 
 
 def test_unit_and_commutativity():

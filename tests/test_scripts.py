@@ -40,9 +40,13 @@ def test_plane_curve_growth_normalized_ratio_past_the_float_range(child_env):
 @pytest.mark.parametrize("upto", ["0", "501"])
 def test_plane_curve_growth_rejects_bad_upto(child_env, upto):
     proc = run_script(child_env, "plane_curve_growth.py", "--upto", upto)
-    assert (proc.returncode, proc.stdout) == (2, "")
+    # a bad value exits 2 like a parse error; one past N_d's work limit exits 4
+    # with the one line `qschub nd --upto 501` prints
+    assert (proc.returncode, proc.stdout) == (2 if upto == "0" else 4, "")
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+    if upto == "501":
+        assert proc.stderr == "error: N_d is computed for d <= 500 (work limit), got 501\n"
 
 
 def test_plane_curve_growth_closed_pipe_exits_2(child_env):
