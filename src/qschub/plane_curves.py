@@ -16,11 +16,14 @@ products up to degree d.  Degrees above MAX_ND_DEGREE are refused rather
 than left to run for long.
 """
 
+from threading import Lock
+
 from .errors import require_within
 
 MAX_ND_DEGREE = 500  # N_500 takes about 1.5 s in process; N_1000 about 30 s
 
 _table: list[int] = [0, 1]  # _table[d] = N_d; index 0 is unused
+_extending = Lock()  # held while _table grows or is cut back
 
 
 def kontsevich_nd(d: int) -> int:
@@ -29,6 +32,14 @@ def kontsevich_nd(d: int) -> int:
     if d < 1:
         raise ValueError("degree must be at least 1")
     require_within("N_d", "d", MAX_ND_DEGREE, d)
+    if len(_table) <= d:  # warm reads take no lock
+        with _extending:  # a second thread appending at once would repeat a degree
+            _extend(d)
+    return _table[d]
+
+
+def _extend(d: int) -> None:
+    """Append N_e to _table for each degree e <= d it lacks."""
     while len(_table) <= d:
         e = len(_table)
         n = 3 * e - 4
@@ -47,7 +58,6 @@ def kontsevich_nd(d: int) -> int:
             a = e // 2
             total += _table[a] ** 2 * a**4 * (row[3 * a - 2] - row[3 * a - 1])
         _table.append(total)
-    return _table[d]
 
 
 def nd_values(up_to: int) -> list[tuple[int, int]]:
@@ -59,4 +69,5 @@ def nd_values(up_to: int) -> list[tuple[int, int]]:
 
 def reset_cache() -> None:
     """Drop every memoized value (used to test cold-cache determinism)."""
-    del _table[2:]
+    with _extending:
+        del _table[2:]

@@ -9,12 +9,15 @@ one bead n places up its runner, so the whole reduction is read off in
 closed form: each bead drops to its residue mod n.  An expansion term whose
 n-core does not fit the m x (n-m) box, i.e. two beads share a runner,
 contributes nothing.  That path serves single products (quantum_product,
-behind one memo cache).  Whole tables come from the quantum Pieri rule
-instead (product_table): each row is built from Pieri steps alone, which is
-cheap for a whole row but pulls in most of a row for one product, and the
-rows are yielded one at a time so that a table is rendered as it is built.
-The two paths share no code, and selfcheck compares them on every pair it
-visits.
+behind one memo cache).  Whole tables come from Bertram's quantum Pieri
+rule instead (product_table): s[p] * s[lam] is s[mu] summed over mu/lam a
+horizontal p-strip in the box, plus q times s[nu] summed over (lam - 1^m)/nu
+a horizontal strip of size n - m - p, every coefficient 1, and both lists
+come from the one shape enumerator.  Each row is built from Pieri steps
+alone, which is cheap for a whole row but pulls in most of a row for one
+product, and the rows are yielded one at a time so that a table is rendered
+as it is built.  The two paths share no code, and selfcheck compares them
+on every pair it visits.
 """
 
 from dataclasses import dataclass, field
@@ -185,29 +188,22 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
 
 
 def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Partition]:
-    """Shapes nu of weight `target` interlacing lam shifted down by one box
-    per row: lam_1 - 1 >= nu_1 >= lam_2 - 1 >= nu_2 >= ... >= nu_rows >= 0.
-    Unsatisfiable when lam has fewer than `rows` parts."""
-    padded = list(lam) + [0] * (rows - len(lam))
-    # (row, weight left, rows chosen); values pushed smallest first pop largest first
-    stack = [(0, target, ())]
-    while stack:
-        i, remaining, prefix = stack.pop()
-        if i == rows:
-            if remaining == 0:
-                yield tuple(x for x in prefix if x)
-            continue
-        hi = min(padded[i] - 1, remaining)
-        lo = max(padded[i + 1] - 1, 0) if i + 1 < rows else 0
-        for v in range(lo, hi + 1):
-            stack.append((i + 1, remaining - v, prefix + (v,)))
+    """The shapes of the q half of Bertram's rule: nu of weight `target`
+    with (lam - 1^rows)/nu a horizontal strip, i.e. lam_1 - 1 >= nu_1 >=
+    lam_2 - 1 >= ... >= nu_rows >= 0.  There are none when lam has fewer
+    than `rows` parts."""
+    if len(lam) < rows:
+        return
+    shifted = tuple(x - 1 for x in lam if x > 1)
+    yield from (nu for nu in partitions_of_weight(target, rows, lam[0] - 1)
+                if is_horizontal_strip(nu, shifted))
 
 
 def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
-    """Quantum product of the special class s[p] (a single row) with s[lam],
-    computed directly from the Pieri rule: the classical part adds a
-    horizontal p-strip inside the box, and the q part collects the shapes
-    of weight |lam| + p - n interlacing lam shifted down by one."""
+    """Quantum product of the special class s[p] (a single row) with s[lam]
+    by Bertram's rule, two lists of horizontal strips with coefficient 1:
+    s[mu] for mu/lam a horizontal p-strip inside the box, plus q * s[nu] for
+    (lam - 1^m)/nu a horizontal strip, nu of weight |lam| + p - n."""
     if not 1 <= p <= space.box_cols:
         raise ValueError(f"row length {p} out of range 1..{space.box_cols} for {space.notation}")
     space.require_in_box(lam)
@@ -233,16 +229,17 @@ def product_table(
     s[a] * s[rest] = s[mu] + (classes of the same weight with first row > a)
     + q * (classes of lower weight), so each row is built with mu by weight,
     then by first row descending, as s[a] * (s[lam] * s[rest]) minus s[lam]
-    times the other terms of s[a] * s[rest].  The Pieri products are
-    memoized for this call only, and a row is yielded as soon as it is
-    built, so a caller that renders rows as they come holds the memo and one
-    row.  It runs neither LR nor rim-hook reduction, so it and
-    quantum_product check each other."""
-    pieri: dict[tuple[int, Partition], dict[tuple[int, Partition], int]] = {}
+    times the other terms of s[a] * s[rest].  Every Pieri coefficient is 1,
+    so a Pieri product is memoized as the tuple of its (q power, partition)
+    keys, for this call only, and a row is yielded as soon as it is built:
+    a caller that renders rows as they come holds the memo and one row.  It
+    runs neither LR nor rim-hook reduction, so it and quantum_product check
+    each other."""
+    pieri: dict[tuple[int, Partition], tuple[tuple[int, Partition], ...]] = {}
 
-    def pieri_terms(a: int, kappa: Partition) -> dict[tuple[int, Partition], int]:
+    def pieri_keys(a: int, kappa: Partition) -> tuple[tuple[int, Partition], ...]:
         if (a, kappa) not in pieri:
-            pieri[a, kappa] = quantum_pieri(a, kappa, space).terms
+            pieri[a, kappa] = tuple(quantum_pieri(a, kappa, space).terms)
         return pieri[a, kappa]
 
     basis = space.basis()  # by weight, then by first row descending
@@ -252,15 +249,15 @@ def product_table(
             a, rest = mu[0], mu[1:]
             terms: dict[tuple[int, Partition], int] = {}
             for (d, kappa), c in row[rest].items():
-                for (e, nu), b in pieri_terms(a, kappa).items():
+                for e, nu in pieri_keys(a, kappa):
                     key = (d + e, nu)
-                    terms[key] = terms.get(key, 0) + b * c
-            for (e, nu), b in pieri_terms(a, rest).items():
+                    terms[key] = terms.get(key, 0) + c
+            for e, nu in pieri_keys(a, rest):
                 if nu == mu:
                     continue  # the one term of weight |mu| with first row a
                 for (d, kappa), c in row[nu].items():
                     key = (d + e, kappa)
-                    terms[key] = terms.get(key, 0) - b * c
+                    terms[key] = terms.get(key, 0) - c
             row[mu] = {key: c for key, c in terms.items() if c}
         yield lam, row
 

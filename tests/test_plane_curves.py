@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from qschub import plane_curves
@@ -65,3 +67,25 @@ def test_cross_path_degree_1():
     # the rim-hook path on the plane gives the same line count as the recursion
     plane = grassmannian(1, 3)
     assert gw_3point(plane, (2,), (2,), (1,), 1) == kontsevich_nd(1)
+
+
+def test_threads_extending_the_memo_at_once_agree():
+    # four threads extend the table from N_1 together; a degree appended
+    # twice would shift every later value
+    expected = kontsevich_nd(150)
+    for _ in range(5):
+        reset_cache()
+        start = threading.Barrier(4)
+        results = []
+
+        def worker():
+            start.wait()
+            results.append(kontsevich_nd(150))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [expected] * 4
+        assert len(plane_curves._table) == 151
