@@ -166,13 +166,16 @@ def _cmd_info(args):
     data = space.to_json()
     data["critical_degree"] = space.critical_degree()
     if space.family == "A":
-        # the sum has min(m, n - m) = lines terms
-        digits = int(space.basis_size_log10()) + 1
-        require_within("info", "digits of C(n, m)", MAX_INFO_DIGITS, digits)
+        # exact up to the cap, where the float log sum can round either way;
+        # that sum (min(m, n - m) = lines terms) only reports the digits
+        size = space.basis_size(MAX_INFO_DIGITS)
+        if size >= 10**MAX_INFO_DIGITS:
+            digits = max(int(space.basis_size_log10()) + 1, MAX_INFO_DIGITS + 1)
+            require_within("info", "digits of C(n, m)", MAX_INFO_DIGITS, digits)
         data["dimension"] = space.dimension()
         data["c1_degree"] = space.c1_degree()
         data["box"] = {"rows": space.m, "cols": space.box_cols}
-        data["basis_size"] = space.basis_size(MAX_INFO_DIGITS)
+        data["basis_size"] = size
     else:
         data["k"] = space.k_value()
         data["maximal"] = space.is_maximal
@@ -231,12 +234,6 @@ def _cmd_qtable(args):
     return {"rows": product_table(space)}, space, 0
 
 
-def _qtable_line(left: str, right: str, terms) -> str:
-    """One text line of the table, from the product's (q power, partition
-    text, coefficient) terms."""
-    return f"s[{left}] * s[{right}] = {format_terms(terms)}"
-
-
 def _qtable_text(rows) -> Iterator[str]:
     """The text lines of product_table's rows, one chunk per row."""
     names: dict[Partition, str] = {}
@@ -244,8 +241,8 @@ def _qtable_text(rows) -> Iterator[str]:
         names = names or {mu: format_partition(mu) for mu in row}  # every row spans the basis
         left = names[lam]
         yield "".join(
-            _qtable_line(left, names[mu],
-                         [(d, names[p], c) for (d, p), c in sorted(terms.items())]) + "\n"
+            f"s[{left}] * s[{names[mu]}] = "
+            f"{format_terms((d, names[p], c) for (d, p), c in sorted(terms.items()))}\n"
             for mu, terms in row.items()
         )
 
@@ -365,12 +362,6 @@ _TEXT_RENDERERS = {
     "basis": lambda payload: list(payload["partitions"]),
     "lr": lambda payload: [str(payload["coefficient"])],
     "qmul": lambda payload: [format_terms(map(_TERM_FIELDS, payload["terms"]))],
-    # the text of a decoded --json qtable document; the command streams its
-    # own lines through _qtable_text
-    "qtable": lambda payload: [
-        _qtable_line(row["left"], row["right"], map(_TERM_FIELDS, row["terms"]))
-        for row in payload["rows"]
-    ],
     "gw": lambda payload: [str(payload["value"])],
     "count": lambda payload: [
         f"GW = {payload['gw']}, r = {payload['r']}, curves = {payload['count']}"
@@ -424,7 +415,9 @@ def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
 
 def parse_and_dispatch(argv: list[str]) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # N_d outgrows the default 4,300-digit limit at d = 572
+        # info prints C(n, m) up to 50,000 digits and reads any n, past the default
+        # 4,300; process-wide, as restoring it would race threads printing big ints
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -6,10 +6,12 @@ agreement of the rim-hook and Pieri paths, order-independence of rim-hook
 removal (every order of bead moves on the abacus, against the closed form),
 Poincare pairing, symmetry and the divisor rule for invariants,
 and the plane-count cross checks.  The suites over pairs of basis classes
-(unit, commutativity, grading, positivity, classical_layer, dual_path)
-share one sweep, check_products, which looks each pair's product up once;
-dual_path compares every pair with the space's Pieri-built product_table,
-then every single-row product with quantum_pieri.  Positivity and grading
+(unit, commutativity, grading, positivity, classical_layer, dual_path,
+poincare_pairing) share one sweep, check_products, which looks each pair's
+product and LR expansion up once; dual_path compares every pair with the
+space's Pieri-built product_table and every single-row product with
+quantum_pieri.  The suites over ordered triples (associativity,
+gw_symmetry) share another, check_triples.  Positivity and grading
 read quantum_product's terms, so a slip in either path fails here.
 `quick` covers G(2,4) and G(1,3) exhaustively.  `full` adds G(2,5) and
 G(3,6) sweeps, 500 associativity triples on each of G(2,5), G(3,6), G(2,6),
@@ -20,14 +22,14 @@ A broken build (wrong rim-hook sign, wrong Pieri chain) must fail here.
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as cartesian
 
 from . import quantum
 from .counting import CountProblem, rational_curve_count
 from .errors import NotComputableError
 from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import classical_structure_constants
-from .partitions import Partition, partitions_of_weight, weight
+from .partitions import partitions_of_weight, weight
 from .plane_curves import kontsevich_nd
 from .quantum import (
     QuantumClass, product_table, quantum_pieri, quantum_product, rim_hook_reduce
@@ -59,32 +61,49 @@ class SuiteResult:
 
 
 def check_products(spaces) -> list[SuiteResult]:
-    """The suites over unordered pairs of basis classes, from one product
-    lookup per pair (commutativity also looks up the reverse order): unit
-    (the pairs led by the unit class), commutativity, grading and positivity
-    of every term, the q^0 part against the LR expansion in the box, and
-    dual_path, the product against the space's Pieri-built product_table."""
-    names = ("unit", "commutativity", "grading", "positivity", "classical_layer", "dual_path")
-    unit, commutativity, grading, positivity, classical, dual_path = map(SuiteResult, names)
+    """The suites over unordered pairs of basis classes, from one product and
+    LR lookup per order: unit (the pairs led by the unit class),
+    commutativity, grading and positivity of every term, the q^0 part against
+    the LR expansion in the box, dual_path (the product against the space's
+    Pieri-built product_table, and each order led by a single row against
+    quantum_pieri), and poincare_pairing (each order's point-class LR
+    coefficient is 1 exactly on dual classes)."""
+    names = "unit commutativity grading positivity classical_layer dual_path poincare_pairing"
+    suites = list(map(SuiteResult, names.split()))
+    unit, commutativity, grading, positivity, classical, dual_path, pairing = suites
     for space in spaces:
         rows = dict(product_table(space))
+        box = space.point_class()
         for lam, mu in combinations_with_replacement(space.basis(), 2):
             product = quantum_product(lam, mu, space)
+            reverse = quantum_product(mu, lam, space)
             label = f"{space}: {lam} * {mu}"
             dual_path.expect(product.terms == rows[lam][mu], f"{label} differs from its Pieri row")
             if not lam:
                 unit.expect(
                     product == QuantumClass.from_partition(space, mu), f"{space}: unit * {mu}"
                 )
-            commutativity.expect(product == quantum_product(mu, lam, space), label)
+            commutativity.expect(product == reverse, label)
             total = weight(lam) + weight(mu)
             for d, nu, c in product.sorted_terms():
                 grading.expect(weight(nu) + d * space.n == total, f"{label} term (q^{d}, {nu})")
                 positivity.expect(c > 0, f"{label} has coeff {c} at (q^{d}, {nu})")
-            classical.expect(
-                product.q_part(0) == classical_structure_constants(space, lam, mu), label
-            )
-    return [unit, commutativity, grading, positivity, classical, dual_path]
+            forward = classical_structure_constants(space, lam, mu)
+            classical.expect(product.q_part(0) == forward, label)
+            orders = [(lam, mu, product, forward)]
+            if lam != mu:
+                orders.append((mu, lam, reverse, classical_structure_constants(space, mu, lam)))
+            for left, right, ordered, expansion in orders:
+                if len(left) == 1:
+                    dual_path.expect(
+                        quantum_pieri(left[0], right, space) == ordered,
+                        f"{space}: pieri {left[0]} on {right}",
+                    )
+                pairing.expect(
+                    expansion.get(box, 0) == (1 if right == space.dual(left) else 0),
+                    f"{space}: pairing {left}, {right}",
+                )
+    return suites
 
 
 def _associative(space, a, b, c) -> bool:
@@ -93,35 +112,33 @@ def _associative(space, a, b, c) -> bool:
     return left == right
 
 
-def check_associativity(exhaustive_spaces, sampled_spaces=()) -> SuiteResult:
-    res = SuiteResult("associativity")
+def check_triples(exhaustive_spaces, sampled_spaces=()) -> tuple[SuiteResult, SuiteResult]:
+    """The suites over ordered triples: associativity on every triple of
+    `exhaustive_spaces` and on seeded samples of `sampled_spaces`, and
+    gw_symmetry, nonnegativity and S_3-symmetry of gw_3point on each
+    exhaustive triple balanced in a degree d <= 2."""
+    associativity, symmetry = SuiteResult("associativity"), SuiteResult("gw_symmetry")
     for space in exhaustive_spaces:
         basis = space.basis()
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    res.expect(_associative(space, a, b, c), f"{space}: ({a},{b},{c})")
+        for a, b, c in cartesian(basis, repeat=3):
+            associativity.expect(_associative(space, a, b, c), f"{space}: ({a},{b},{c})")
+            d, rest = divmod(weight(a) + weight(b) + weight(c) - space.dimension(), space.n)
+            if rest or not 0 <= d <= 2:
+                continue
+            value = gw_3point(space, a, b, c, d)
+            symmetry.expect(value >= 0, f"{space}: I_{d}({a},{b},{c}) < 0")
+            for x, y, z in ((a, c, b), (b, a, c), (c, b, a), (b, c, a), (c, a, b)):
+                symmetry.expect(
+                    gw_3point(space, x, y, z, d) == value,
+                    f"{space}: I_{d} not symmetric on ({a},{b},{c})",
+                )
     rng = random.Random(_SEED)
     for space in sampled_spaces:
         basis = space.basis()
         for _ in range(_RANDOM_TRIPLES):
             a, b, c = (rng.choice(basis) for _ in range(3))
-            res.expect(_associative(space, a, b, c), f"{space}: ({a},{b},{c})")
-    return res
-
-
-def check_dual_path(spaces, res: SuiteResult) -> SuiteResult:
-    """Adds to `res` the single-row products s[p] * s[lam] of quantum_pieri
-    against quantum_product."""
-    for space in spaces:
-        for p in range(1, space.box_cols + 1):
-            row: Partition = (p,)
-            for lam in space.basis():
-                res.expect(
-                    quantum_pieri(p, lam, space) == quantum_product(row, lam, space),
-                    f"{space}: pieri {p} on {lam}",
-                )
-    return res
+            associativity.expect(_associative(space, a, b, c), f"{space}: ({a},{b},{c})")
+    return associativity, symmetry
 
 
 def _all_bead_outcomes(beads: tuple[int, ...], n: int, m: int) -> set:
@@ -164,39 +181,6 @@ def check_rim_hook_orders(cases: tuple[tuple[Grassmannian, int], ...]) -> SuiteR
                     rim_hook_reduce(nu, space) == expected,
                     f"{space}: {nu} normative reduction disagrees",
                 )
-    return res
-
-
-def check_poincare_pairing(spaces) -> SuiteResult:
-    res = SuiteResult("poincare_pairing")
-    for space in spaces:
-        box = space.point_class()
-        for lam in space.basis():
-            for mu in space.basis():
-                got = classical_structure_constants(space, lam, mu).get(box, 0)
-                expected = 1 if mu == space.dual(lam) else 0
-                res.expect(got == expected, f"{space}: pairing {lam}, {mu}")
-    return res
-
-
-def check_gw_symmetry(spaces, max_degree: int = 2) -> SuiteResult:
-    res = SuiteResult("gw_symmetry")
-    for space in spaces:
-        basis = space.basis()
-        for d in range(max_degree + 1):
-            target = space.moduli_dimension(3, d)
-            for a in basis:
-                for b in basis:
-                    for c in basis:
-                        if weight(a) + weight(b) + weight(c) != target:
-                            continue
-                        value = gw_3point(space, a, b, c, d)
-                        res.expect(value >= 0, f"{space}: I_{d}({a},{b},{c}) < 0")
-                        for x, y, z in ((a, c, b), (b, a, c), (c, b, a), (b, c, a), (c, a, b)):
-                            res.expect(
-                                gw_3point(space, x, y, z, d) == value,
-                                f"{space}: I_{d} not symmetric on ({a},{b},{c})",
-                            )
     return res
 
 
@@ -256,18 +240,21 @@ def run_selfcheck(level: str = "quick") -> list[SuiteResult]:
     sampled = FULL_EXTRA_SPACES + (grassmannian(2, 6),) if full else ()
     rim_hook_cases = ((grassmannian(2, 4), 8),) + (((grassmannian(3, 6), 12),) if full else ())
     divisor_range = (FULL_DIVISOR_SPACES, 3, range(1, 6)) if full else (QUICK_SPACES, 2, (2, 3))
-    unit, commutativity, grading, positivity, classical_layer, dual_path = check_products(spaces)
+    unit, commutativity, grading, positivity, classical_layer, dual_path, pairing = (
+        check_products(spaces)
+    )
+    associativity, gw_symmetry = check_triples(QUICK_SPACES, sampled)
     return [
         unit,
         commutativity,
-        check_associativity(QUICK_SPACES, sampled),
+        associativity,
         grading,
         positivity,
-        check_dual_path(spaces, dual_path),
+        dual_path,
         classical_layer,
         check_rim_hook_orders(rim_hook_cases),
-        check_poincare_pairing(spaces),
-        check_gw_symmetry(QUICK_SPACES),
+        pairing,
+        gw_symmetry,
         check_divisor_rule(*divisor_range),
         check_plane_counts(),
     ]

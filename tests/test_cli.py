@@ -3,9 +3,13 @@ import re
 import subprocess
 import sys
 import time
-from math import comb
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschub.cli import parse_and_dispatch
 
@@ -319,6 +323,20 @@ def test_info_at_both_of_its_limits_answers(child_env):
     assert len(result["kernel_span"]) == 20000
 
 
+def test_info_decides_its_digit_limit_on_the_exact_size(capsys):
+    # C(n, 2) has 50,000 digits, though its float log sum rounds up to 50,000
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # as the CLI does, to write n's 25,001 digits
+    n = isqrt(2 * 10**50000)
+    assert len(str(comb(n, 2))) == 50000
+    code, out, err = run(capsys, "info", f"G(2,{n})", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["basis_size"] == comb(n, 2)
+    code, out, err = run(capsys, "info", f"G(2,{n + 2})")
+    assert (code, out) == (4, "")
+    assert err == "error: info is computed for digits of C(n, m) <= 50000 (work limit), got 50001\n"
+
+
 def test_info_of_a_huge_space_exits_4_at_once(child_env):
     for argv, err in (
         (["info", "G(1000000,2000000)"], "kernel/span lines <= 20000 (work limit), got 1000000"),
@@ -462,7 +480,7 @@ def qtable_by_payload(space, as_json):
     indent=2) of the whole document, or one text line per row."""
     from qschub.cli import SCHEMA_VERSION, _terms_json
     from qschub.partitions import format_partition
-    from qschub.quantum import QuantumClass, format_terms, product_table
+    from qschub.quantum import QuantumClass, product_table
 
     rows = [
         {"left": format_partition(lam), "right": format_partition(mu),
@@ -473,6 +491,13 @@ def qtable_by_payload(space, as_json):
         doc = {"schema": SCHEMA_VERSION, "command": "qtable", "space": space.to_json(),
                "result": {"rows": rows}}
         return json.dumps(doc, indent=2) + "\n"
+    return qtable_text(rows)
+
+
+def qtable_text(rows):
+    """The text qtable prints for the rows of its decoded --json document."""
+    from qschub.quantum import format_terms
+
     return "".join(
         f"s[{row['left']}] * s[{row['right']}] = "
         f"{format_terms((t['q'], t['partition'], t['coeff']) for t in row['terms'])}\n"
@@ -582,5 +607,42 @@ def test_json_and_text_encode_identical_data(capsys, argv):
     json_code, json_out, _ = run(capsys, *argv, "--json")
     assert text_code == json_code
     doc = json.loads(json_out)
-    rebuilt = "".join(line + "\n" for line in render_text(doc["command"], doc["result"]))
+    if doc["command"] == "qtable":  # streamed, so the CLI keeps no renderer for the document
+        rebuilt = qtable_text(doc["result"]["rows"])
+    else:
+        rebuilt = "".join(line + "\n" for line in render_text(doc["command"], doc["result"]))
     assert rebuilt == text_out
+
+
+_FUZZ_SPACES = st.sampled_from(
+    ["G(2,4)", "G(1,3)", "G(3,3)", "G(0,3)", "G(4,2)", "IG(2,5)", "IG(2,6)", "OG(1,2)",
+     "OG(3,9)", "G(2", "H(2,4)", "x"]
+)
+_FUZZ_CLASSES = st.lists(
+    st.sampled_from(["pt", "0", "1", "2", "1,1", "2,1", "1,2", "2,2", "a", "-1", ""]), max_size=4
+)
+_FUZZ_DEGREES = st.integers(-1, 3).map(str)
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["info", "basis", "qtable"]), _FUZZ_SPACES).map(list),
+    st.tuples(st.just("lr"), _FUZZ_CLASSES).map(lambda t: [t[0], *t[1]]),
+    st.tuples(st.just("qmul"), _FUZZ_SPACES, _FUZZ_CLASSES).map(lambda t: [t[0], t[1], *t[2]]),
+    st.tuples(st.sampled_from(["gw", "count"]), _FUZZ_SPACES, _FUZZ_DEGREES, _FUZZ_CLASSES).map(
+        lambda t: [t[0], t[1], "-d", t[2], *t[3]]
+    ),
+    st.tuples(st.sampled_from([[], ["--upto"]]), _FUZZ_DEGREES).map(lambda t: ["nd", *t[0], t[1]]),
+    st.just(["nd"]),
+    st.sampled_from([["selfcheck"], ["selfcheck", "quick"], ["selfcheck", "paranoid"]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FUZZ_ARGV, st.booleans())
+def test_every_argv_exits_with_a_defined_code_and_one_error_line(argv, as_json):
+    argv = argv + ["--json"] if as_json else argv
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = parse_and_dispatch(argv)
+    assert code in {0, 2, 3, 4} or (code, argv[0]) == (1, "selfcheck"), argv
+    assert len(err.getvalue().splitlines()) <= 1, argv
+    if code in {2, 3, 4}:
+        assert out.getvalue() == "", argv
