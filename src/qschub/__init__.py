@@ -38,7 +38,15 @@ from .quantum import (
     quantum_product,
     rim_hook_reduce,
 )
-from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, grassmannian, parse_space
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_selfcheck loads selfcheck (and random) on first use, not at import
+    if name == "run_selfcheck":
+        from .selfcheck import run_selfcheck
+
+        return run_selfcheck
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

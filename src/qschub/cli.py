@@ -16,11 +16,10 @@ after the command's limits have been checked.
 """
 
 import argparse
-import json
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from operator import itemgetter
-from typing import Iterator
 
 from .counting import CountProblem, rational_curve_count
 from .errors import (
@@ -35,7 +34,6 @@ from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition, weight
 from .plane_curves import kontsevich_nd, nd_values
 from .quantum import QuantumClass, format_terms, product_table, quantum_product
-from .selfcheck import run_selfcheck
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
@@ -316,6 +314,8 @@ def _render_nd(payload):
 
 
 def _cmd_selfcheck(args):
+    from .selfcheck import run_selfcheck  # loaded only here, to keep start-up light
+
     results = run_selfcheck(args.level)
     payload = {
         "level": args.level,
@@ -397,6 +397,8 @@ def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
         else:
             yield "".join(line + "\n" for line in render_text(args.command, payload))
         return
+    import json  # only --json output needs it, so text commands start without it
+
     doc = {
         "schema": SCHEMA_VERSION,
         "command": args.command,

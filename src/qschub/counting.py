@@ -9,31 +9,28 @@ marked at any of its d intersection points with it, inflating the map count
 by d per divisor condition).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gromov_witten import GWQuery, gw_spoint
-from .partitions import Partition, weight
-from .spaces import Grassmannian
+from .partitions import weight
 
 
-@dataclass(frozen=True)
-class CountProblem:
+class CountProblem(namedtuple("CountProblem", "space degree conditions")):
     """An enumerative query: how many degree-d rational curves on the space
-    meet general translates of all the Schubert conditions?"""
+    (a Grassmannian) meet general translates of all the Schubert conditions
+    (a tuple of partitions)?"""
 
-    space: Grassmannian
-    degree: int
-    conditions: tuple[Partition, ...]
+    __slots__ = ()
 
     def as_query(self) -> GWQuery:
         return GWQuery(self.space, self.degree, self.conditions)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    gw_value: int
-    divisor_conditions: int
-    curve_count: int
+class CountResult(namedtuple("CountResult", "gw_value divisor_conditions curve_count")):
+    """The invariant, the number r of codimension-one conditions, and the
+    curve count, which is the invariant divided by d^r."""
+
+    __slots__ = ()
 
 
 def rational_curve_count(problem: CountProblem) -> CountResult:

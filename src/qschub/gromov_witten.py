@@ -10,7 +10,7 @@ that is the plane count: on G(1,3) an invariant whose insertions are all
 point classes equals the number N_d of degree-d rational plane curves.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotComputableError, UnbalancedQueryError
 from .partitions import Partition, weight
@@ -43,19 +43,21 @@ def gw_3point(
     return quantum_product(first, second, space).coefficient(d, space.dual(third))
 
 
-@dataclass(frozen=True)
-class GWQuery:
-    """An s-point invariant query: target space, curve degree, and the
-    ordered list of Schubert class insertions (the empty partition denotes
-    the fundamental class)."""
+class GWQuery(namedtuple("GWQuery", "space degree insertions")):
+    """An s-point invariant query: target space (a Grassmannian), curve
+    degree, and the ordered tuple of Schubert class insertions (the empty
+    partition denotes the fundamental class)."""
 
-    space: Grassmannian
-    degree: int
-    insertions: tuple[Partition, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+    def __new__(cls, space: Grassmannian, degree: int, insertions: tuple[Partition, ...]):
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        return super().__new__(cls, space, degree, insertions)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so _replace checks its fields too
 
     def total_codim(self) -> int:
         return sum(weight(p) for p in self.insertions)

@@ -10,7 +10,7 @@ box weight by weight from it.
 """
 
 from collections import Counter
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import BoxError
 

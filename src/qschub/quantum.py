@@ -20,9 +20,9 @@ as it is built.  The two paths share no code, and selfcheck compares them
 on every pair it visits.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BoxError
 from .lr import schur_product
@@ -32,14 +32,12 @@ from .partitions import (
 from .spaces import Grassmannian, require_type_a
 
 
-class ReductionOutcome(NamedTuple):
+class ReductionOutcome(namedtuple("ReductionOutcome", "q_power sign core")):
     """A completed rim-hook reduction: q_power strips were removed with the
     given total sign, leaving the core partition (which fits the box).
     A reduction whose core leaves the box is reported as None instead."""
 
-    q_power: int
-    sign: int
-    core: Partition
+    __slots__ = ()
 
 
 def _reduction_sign(m: int, q_power: int, passes: int) -> int:
@@ -75,17 +73,22 @@ def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | No
     )
 
 
-@dataclass
 class QuantumClass:
     """An element of the quantum cohomology ring: an integer combination of
     pairs (q_power, partition in the box).  Zero coefficients are never
-    stored."""
+    stored.  Classes compare by space and terms, and are not hashable."""
 
-    space: Grassmannian
-    terms: dict[tuple[int, Partition], int] = field(default_factory=dict)
+    def __init__(self, space: Grassmannian, terms: dict[tuple[int, Partition], int] | None = None):
+        self.space = space
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
-    def __post_init__(self):
-        self.terms = {key: c for key, c in self.terms.items() if c}
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.terms) == (other.space, other.terms)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(space={self.space!r}, terms={self.terms!r})"
 
     @classmethod
     def from_partition(cls, space: Grassmannian, p: Partition) -> "QuantumClass":
@@ -117,10 +120,11 @@ class QuantumClass:
         return QuantumClass(self.space, merged)
 
     def __mul__(self, other):
-        """The product with an integer or with another class.  Each pair of
-        terms makes quantum_product's two box checks, then reads the
-        Schubert product from the terms _product_terms caches, with no
-        QuantumClass built per pair."""
+        """The product with an integer or with another class.  Each term is
+        box-checked once, in the order quantum_product's two checks per pair
+        of terms would first meet it (the first left term, every right term,
+        the other left terms), then each pair reads the Schubert product from
+        the terms _product_terms caches, with no QuantumClass built per pair."""
         if isinstance(other, int):
             return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
         if not isinstance(other, QuantumClass):
@@ -128,11 +132,16 @@ class QuantumClass:
         space = self.space
         if space != other.space:
             raise ValueError("cannot multiply classes on different spaces")
+        if self.terms and other.terms:
+            left = iter(self.terms)
+            space.require_in_box(next(left)[1])
+            for _, p in other.terms:
+                space.require_in_box(p)
+            for _, p in left:
+                space.require_in_box(p)
         out: dict[tuple[int, Partition], int] = {}
         for (d1, p1), c1 in self.terms.items():
             for (d2, p2), c2 in other.terms.items():
-                space.require_in_box(p1)
-                space.require_in_box(p2)
                 for (d, p), c in _product_terms(p1, p2, space):
                     key = (d + d1 + d2, p)
                     out[key] = out.get(key, 0) + c1 * c2 * c

@@ -21,7 +21,6 @@ A broken build (wrong rim-hook sign, wrong Pieri chain) must fail here.
 """
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as cartesian
 
 from . import quantum
@@ -44,11 +43,23 @@ _RANDOM_TRIPLES = 500
 _SEED = 20240811
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's report: its name, the number of checks made, and the
+    label of each check that failed."""
+
+    def __init__(self, name: str, checks: int = 0, failures: list[str] | None = None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.checks, self.failures) == (other.name, other.checks, other.failures)
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(name={self.name!r}, checks={self.checks!r}, "
+                f"failures={self.failures!r})")
 
     @property
     def ok(self) -> bool:

@@ -12,7 +12,7 @@ deliberately raises UnsupportedFamilyError instead of guessing:
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, inf, log10
 
 from .errors import BoxError, DegreeRangeError, UnsupportedFamilyError
@@ -31,13 +31,15 @@ class MoreThan(int):
         return f"more than 10^{round(log10(self - 1))}"
 
 
-@dataclass(frozen=True)
-class Grassmannian:
-    family: str
-    m: int
-    n: int
+class Grassmannian(namedtuple("Grassmannian", "family m n")):
+    """A Grassmannian of family A-D with its parameters m and n (see the
+    module docstring), checked when it is made.  A named tuple: it compares
+    and hashes as the plain tuple (family, m, n)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, family: str, m: int, n: int):
+        self = super().__new__(cls, family, m, n)
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         hi = {"A": self.n - 1, "B": self.n, "C": self.n, "D": self.n + 1}[self.family]
@@ -47,6 +49,11 @@ class Grassmannian:
             )
         if self.family == "D" and self.n == 0:
             raise ValueError(f"{self.notation} is two points, not a Grassmannian")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so _replace checks its fields too
 
     @property
     def notation(self) -> str:
@@ -127,8 +134,10 @@ class Grassmannian:
         return fits_in_box(p, self.m, self.box_cols)
 
     def require_in_box(self, p: Partition) -> None:
-        """Raise BoxError unless p indexes a Schubert class of the space."""
-        if not self.in_box(p):
+        """Raise BoxError unless p indexes a Schubert class of the space.
+        It calls fits_in_box itself, one call fewer than through in_box,
+        since every product and invariant makes this check per class."""
+        if not fits_in_box(p, self.m, self.box_cols):
             raise BoxError(
                 f"partition {format_partition(p)} does not fit the "
                 f"{self.m}x{self.box_cols} box of {self.notation}"
