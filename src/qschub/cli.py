@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedFamilyError,
     require_within,
 )
+# gw_3point is unused here; perfbench/tracer.py wraps it until ROADMAP Direction 1
 from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition, weight
@@ -274,17 +275,7 @@ def _cmd_gw(args):
     space = parse_space(args.space)
     insertions = tuple(_class_arg(t, space) for t in args.insertions)
     require_within("gw", "basis size", MAX_QMUL_BASIS, space.basis_size())
-    query = GWQuery(space, args.degree, insertions)
-    if args.degree == 0:
-        if len(insertions) < 3:
-            raise NotComputableError("degree-0 invariants are computed for at least 3 insertions")
-        query.require_balanced()
-        # Past three insertions every evaluation map factors through the
-        # space, so the integrand is pulled back from it and has degree
-        # above its dimension (Fulton-Pandharipande, Notes on stable maps).
-        value = gw_3point(space, *insertions, 0) if len(insertions) == 3 else 0
-    else:
-        value = gw_spoint(query)
+    value = gw_spoint(GWQuery(space, args.degree, insertions))
     payload = {"degree": args.degree, "insertions": [format_partition(p) for p in insertions],
                "value": value}
     return payload, space, 0

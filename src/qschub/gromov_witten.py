@@ -1,13 +1,13 @@
 """Genus-zero Gromov-Witten invariants of ordinary Grassmannians.
 
-Three-point invariants are structure constants of the quantum product.
-Invariants with more insertions are reduced to the three-point case with
-two standard moves: an insertion of the fundamental class kills the
-invariant (for d >= 1), and each insertion of the codimension-one class
-s[1] can be stripped at the cost of a factor d (it pairs to d with the
-curve class).  The one family of many-point invariants computed beyond
-that is the plane count: on G(1,3) an invariant whose insertions are all
-point classes equals the number N_d of degree-d rational plane curves.
+gw_spoint answers every degree d >= 0.  At d = 0, three insertions give
+the classical triple product and four or more give 0.  At d >= 1,
+three-point invariants are structure constants of the quantum product, and
+longer queries are reduced to them by two standard moves: a fundamental-
+class insertion kills the invariant, and each insertion of the
+codimension-one class s[1] is stripped for a factor d (it pairs to d with
+the curve class).  Beyond that, on G(1,3) an invariant whose insertions
+are all point classes is the number N_d of degree-d rational plane curves.
 """
 
 from collections import namedtuple
@@ -15,13 +15,21 @@ from collections import namedtuple
 from .errors import NotComputableError, UnbalancedQueryError
 from .partitions import Partition, weight
 from .plane_curves import kontsevich_nd
-from .quantum import quantum_product
+# quantum_product is unused here; perfbench/tracer.py wraps it until ROADMAP Direction 1
+from .quantum import _product_terms, quantum_product
 from .spaces import Grassmannian, grassmannian, require_type_a
 
 DIVISOR: Partition = (1,)
 POINT_P2: Partition = (2,)
 
 _P2 = grassmannian(1, 3)
+
+
+def _three_point(space: Grassmannian, a: Partition, b: Partition, c: Partition, d: int) -> int:
+    """gw_3point on classes already checked, read from the cached product."""
+    if weight(a) + weight(b) + weight(c) != space.moduli_dimension(3, d):
+        return 0
+    return dict(_product_terms(a, b, space)).get((d, space.dual(c)), 0)
 
 
 def gw_3point(
@@ -38,9 +46,7 @@ def gw_3point(
         space.require_in_box(p)
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    if weight(first) + weight(second) + weight(third) != space.moduli_dimension(3, d):
-        return 0
-    return quantum_product(first, second, space).coefficient(d, space.dual(third))
+    return _three_point(space, first, second, third, d)
 
 
 class GWQuery(namedtuple("GWQuery", "space degree insertions")):
@@ -78,36 +84,39 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
 
 
 def gw_spoint(query: GWQuery) -> int:
-    """Evaluate an s-point invariant of degree >= 1.
+    """Evaluate an s-point invariant of any degree d >= 0.
 
-    Pipeline: a fundamental-class insertion gives 0; every s[1] insertion
-    is stripped and contributes a factor d; if three insertions remain the
-    answer is a quantum structure constant (fewer than three are padded
-    back with s[1], dividing by d per pad, always exactly); if more than
-    three remain the only supported case is all point classes on G(1,3),
-    which is the plane count N_d.  Anything else raises NotComputableError.
+    The family, each insertion's box and the balance are checked once.  At
+    d = 0, fewer than three insertions raise NotComputableError (before the
+    balance check), three give the triple product and more give 0.  At
+    d >= 1, a fundamental class gives 0; each s[1] is stripped for a factor
+    d; three or fewer classes left give a quantum structure constant (padded
+    back with s[1], dividing by d per pad, always exactly); more are
+    computed only as the plane count N_d: all point classes on G(1,3).
     """
-    space = query.space
+    space, d, insertions = query
     require_type_a(space)
-    d = query.degree
-    if d < 1:
-        raise ValueError("gw_spoint handles degree >= 1 only; use gw_3point at degree 0")
-    if not query.insertions:
+    if not insertions:
         raise ValueError("at least one insertion is required")
-    for p in query.insertions:
+    for p in insertions:
         space.require_in_box(p)
+    if d == 0 and len(insertions) < 3:
+        raise NotComputableError("degree-0 invariants are computed for at least 3 insertions")
     query.require_balanced()
-    if any(p == () for p in query.insertions):
+    if d == 0:
+        # Past three insertions every evaluation map factors through the
+        # space, so the integrand is pulled back from it and has degree
+        # above its dimension (Fulton-Pandharipande, Notes on stable maps).
+        return _three_point(space, *insertions, 0) if len(insertions) == 3 else 0
+    if () in insertions:
         return 0
-    rest = [p for p in query.insertions if p != DIVISOR]
-    stripped = len(query.insertions) - len(rest)
+    rest = [p for p in insertions if p != DIVISOR]
+    stripped = len(insertions) - len(rest)
     if len(rest) <= 3:
         pad = 3 - len(rest)
-        value = d**stripped * gw_3point(space, *rest, *[DIVISOR] * pad, d)
+        value = d**stripped * _three_point(space, *rest, *[DIVISOR] * pad, d)
         if value % d**pad:
-            raise RuntimeError(
-                "divisor stripping produced a non-integral value; this is a bug"
-            )
+            raise RuntimeError("divisor stripping produced a non-integral value; this is a bug")
         return value // d**pad
     if space == _P2 and all(p == POINT_P2 for p in rest):
         return d**stripped * kontsevich_nd(d)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qschub.counting import CountProblem, rational_curve_count
 from qschub.errors import (
     BoxError,
     NotComputableError,
@@ -13,7 +14,8 @@ from qschub.errors import (
 from qschub.gromov_witten import GWQuery, gw_3point, gw_spoint
 from qschub.partitions import weight
 from qschub.plane_curves import kontsevich_nd
-from qschub.spaces import grassmannian, parse_space
+from qschub.quantum import product_table
+from qschub.spaces import Grassmannian, grassmannian, parse_space
 
 G24 = grassmannian(2, 4)
 P2 = grassmannian(1, 3)
@@ -88,13 +90,64 @@ def test_spoint_plane_point_counts():
 def test_spoint_validates():
     with pytest.raises(UnbalancedQueryError):
         gw_spoint(GWQuery(G24, 1, ((1,), (1,), (1,))))
-    with pytest.raises(ValueError):
-        gw_spoint(GWQuery(G24, 0, ((1,), (1,), (2,))))
+    assert gw_spoint(GWQuery(G24, 0, ((1,), (1,), (2,)))) == 1
     with pytest.raises(UnsupportedFamilyError):
         gw_spoint(GWQuery(parse_space("IG(2,6)"), 1, ((1,), (1,), (1,))))
     with pytest.raises(NotComputableError):
         # balanced 4-point query without divisor insertions, not on the plane
         gw_spoint(GWQuery(G24, 2, ((2, 2), (2, 2), (2, 1), (2,))))
+
+
+def test_one_box_check_per_insertion(monkeypatch):
+    # gw_spoint checks each insertion; its three-point route reads the
+    # product cache without checking the classes again
+    calls = []
+    real = Grassmannian.require_in_box
+
+    def counted(space, p):
+        calls.append(p)
+        real(space, p)
+
+    monkeypatch.setattr(Grassmannian, "require_in_box", counted)
+    five = ((1,), (1,), (1,), (2, 1), (2, 2))
+    for query in (GWQuery(G24, 1, five), GWQuery(G24, 0, ((1,), (1,), (1,), (1,), (2,)))):
+        assert query.is_balanced()
+        calls.clear()
+        gw_spoint(query)
+        assert len(calls) == 5, query
+    calls.clear()
+    rational_curve_count(CountProblem(G24, 1, five))
+    assert len(calls) == 5
+    calls.clear()
+    gw_3point(G24, (2, 2), (1, 1), (2,), 1)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("space", [G24, grassmannian(2, 5), grassmannian(3, 6)])
+def test_degree_zero_is_the_classical_part_of_the_pieri_table(space):
+    # product_table runs neither LR nor rim hooks: it shares no code with gw_spoint
+    rows = dict(product_table(space))
+    triples = [t for t in product(space.basis(), repeat=3)
+               if sum(map(weight, t)) == space.moduli_dimension(3, 0)]
+    assert triples
+    for a, b, c in triples:
+        expected = rows[a][b].get((0, space.dual(c)), 0)
+        assert gw_spoint(GWQuery(space, 0, (a, b, c))) == expected, (a, b, c)
+
+
+def test_degree_zero_past_three_insertions_is_zero_and_below_three_is_refused():
+    message = "degree-0 invariants are computed for at least 3 insertions"
+    for space in (G24, grassmannian(2, 5)):
+        for query in _balanced_queries(space, 0, 5):
+            if len(query.insertions) > 3:
+                assert gw_spoint(query) == 0, query
+            elif len(query.insertions) < 3:
+                with pytest.raises(NotComputableError, match=f"^{message}$"):
+                    gw_spoint(query)
+    # refused before the balance check, as the gw command does
+    for insertions in (((1,),), ((1,), (1,))):
+        with pytest.raises(NotComputableError, match=f"^{message}$"):
+            gw_spoint(GWQuery(G24, 0, insertions))
 
 
 def _balanced_queries(space, degree, max_insertions):
