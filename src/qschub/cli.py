@@ -8,11 +8,12 @@ Errors print a single machine-greppable line to stderr.  Each command
 builds one result payload; the text mode renders that payload and the
 --json mode wraps it in a stable versioned document, so the two encodings
 always carry identical data.  qtable alone streams: its payload holds the
-Pieri table's rows as product_table yields them, and each row is written
-in either encoding as soon as it is built, in the bytes the whole document
-would have had, so its two encodings carry identical data too.  Nothing is
-written to disk unless --json -o PATH is given, and PATH is opened only
-after the command's limits have been checked.
+Pieri table on basis indices as indexed_table yields it, and each row is
+written in either encoding as soon as it is built, in the bytes the whole
+document would have had, so its two encodings carry identical data too.
+The text of each term (q power and partition) is built once per table.
+Nothing is written to disk unless --json -o PATH is given, and PATH is
+opened only after the command's limits have been checked.
 """
 
 import argparse
@@ -34,19 +35,20 @@ from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition, weight
 from .plane_curves import kontsevich_nd, nd_values
-from .quantum import QuantumClass, format_terms, product_table, quantum_product
+from .quantum import QuantumClass, format_terms, indexed_table, quantum_product
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
-# qtable writes each row as it is built, so its peak RSS stays near the Pieri
-# memo plus one row: 17 MB for G(4,9) --json, where building the whole
-# document first took 115 MB.  Time sets the bound: no --json case within it
-# may take longer than G(4,9) --json did then, 1.35 s end to end (median of
-# runs alternating with the ones below).  The slowest found within it are
-# G(2,20) (190 classes) and G(1,209), at about 0.97 s; sizes 191-209 hold only
-# G(1,n) and G(n-1,n).  G(4,10), the first space past it (210 classes), takes
-# 1.38 s, and G(3,12) (220) 2.1 s.
-MAX_QTABLE_BASIS = 209
+# qtable writes each row as it is built, so its peak RSS is the Pieri memo, the
+# entries waiting for later rows and one row: 16.5 MB for G(4,9) --json, 19 MB
+# for G(2,20) and G(1,209), 30 MB for G(3,13).  Time sets the bound: no --json
+# case within it may take longer than 1.35 s end to end (median of alternating
+# runs), what G(4,9) --json took when rows were first streamed.  The slowest
+# found within it are G(3,13) (286 classes), 0.99-1.31 s over three sessions,
+# and G(2,25) (300), 0.87-1.23 s; sizes 301-324 hold only G(1,n) and G(n-1,n).
+# G(2,26), the first space past it (325 classes), took 1.00-1.41 s, over 1.35 s
+# in one session of the three, and G(4,11) (330) 1.33-1.97 s.
+MAX_QTABLE_BASIS = 324
 # qmul, gw and count all reach quantum_product's LR expansion, which grows
 # with the rows of the box, so tall spaces set this: the slowest product
 # found within the bound squares 2^30 1^30 on G(61,63) (1,953 classes) in
@@ -230,42 +232,47 @@ def _cmd_qtable(args):
     space = parse_space(args.space)
     require_within("qtable", "basis size", MAX_QTABLE_BASIS, space.basis_size())
     # rows are built while they are written, by _qtable_text or _qtable_json
-    return {"rows": product_table(space)}, space, 0
+    return {"table": indexed_table(space)}, space, 0
 
 
-def _qtable_text(rows) -> Iterator[str]:
-    """The text lines of product_table's rows, one chunk per row."""
-    names: dict[Partition, str] = {}
+def _qtable_text(table) -> Iterator[str]:
+    """The text lines of indexed_table's rows, one chunk per row.  Each
+    term's text with coefficient 1 is built once per table; format_terms
+    writes the others."""
+    keys, rows = table
+    names = [format_partition(p) for _, p in keys]
+    plain = [format_terms([(d, name, 1)]) for (d, _), name in zip(keys, names)]
     for lam, row in rows:
-        names = names or {mu: format_partition(mu) for mu in row}  # every row spans the basis
-        left = names[lam]
+        left = f"s[{names[lam]}] * s["
         yield "".join(
-            f"s[{left}] * s[{names[mu]}] = "
-            f"{format_terms((d, names[p], c) for (d, p), c in sorted(terms.items()))}\n"
+            f"{left}{names[mu]}] = " + (" + ".join([
+                plain[t] if c == 1 else format_terms([(keys[t][0], names[t], c)])
+                for t, c in sorted(terms.items())
+            ]) or "0") + "\n"
             for mu, terms in row.items()
         )
 
 
-def _qtable_json(rows) -> Iterator[str]:
-    """The JSON list of product_table's rows, one chunk per row, in the
+def _qtable_json(table) -> Iterator[str]:
+    """The JSON list of indexed_table's rows, one chunk per row, in the
     bytes json.dumps(doc, indent=2) writes for the list at depth 2 of the
-    document: its entries at depth 3, their terms at depth 5.  Partition
-    text is digits and commas, which JSON does not escape."""
-    names: dict[Partition, str] = {}
+    document: its entries at depth 3, their terms at depth 5.  Each term's
+    text up to its coefficient is built once per table.  Partition text is
+    digits and commas, which JSON does not escape."""
+    keys, rows = table
+    names = [format_partition(p) for _, p in keys]
+    heads = [f'{{\n            "q": {d},\n            "partition": "{name}",\n            "coeff": '
+             for (d, _), name in zip(keys, names)]
     opening = "[\n      "
     for lam, row in rows:
-        names = names or {mu: format_partition(mu) for mu in row}  # every row spans the basis
-        left = names[lam]
+        left = f'{{\n        "left": "{names[lam]}",\n        "right": "'
         entries = []
         for mu, terms in row.items():
             body = ",\n          ".join([
-                f'{{\n            "q": {d},\n            "partition": "{names[p]}",'
-                f'\n            "coeff": {c}\n          }}'
-                for (d, p), c in sorted(terms.items())
+                f"{heads[t]}{c}\n          }}" for t, c in sorted(terms.items())
             ])
             body = f"[\n          {body}\n        ]" if body else "[]"
-            entries.append(f'{{\n        "left": "{left}",\n        "right": "{names[mu]}",'
-                           f'\n        "terms": {body}\n      }}')
+            entries.append(f'{left}{names[mu]}",\n        "terms": {body}\n      }}')
         yield opening + ",\n      ".join(entries)
         opening = ",\n      "
     yield "[]" if opening.startswith("[") else "\n    ]"
@@ -384,7 +391,7 @@ def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
     streamed = args.command == "qtable"
     if not args.json:
         if streamed:
-            yield from _qtable_text(payload["rows"])
+            yield from _qtable_text(payload["table"])
         else:
             yield "".join(line + "\n" for line in render_text(args.command, payload))
         return
@@ -400,7 +407,7 @@ def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
     if streamed:
         head, tail = text.split('"rows": []')
         yield head + '"rows": '
-        yield from _qtable_json(payload["rows"])
+        yield from _qtable_json(payload["table"])
         yield tail
     else:
         yield text

@@ -15,9 +15,13 @@ horizontal p-strip in the box, plus q times s[nu] summed over (lam - 1^m)/nu
 a horizontal strip of size n - m - p, every coefficient 1, and both lists
 come from the one shape enumerator.  Each row is built from Pieri steps
 alone, which is cheap for a whole row but pulls in most of a row for one
-product, and the rows are yielded one at a time so that a table is rendered
-as it is built.  The two paths share no code, and selfcheck compares them
-on every pair it visits.
+product.  The table numbers the basis once and writes the term q**d * s[p]
+as the int d * (basis size) + (p's index), so its inner loops add and hash
+ints; each row computes only the products with classes at or after its own
+in basis order, and takes the rest from the rows before it, since products
+commute.  Rows are yielded one at a time so that a table is rendered as it
+is built.  The two paths share no code, and selfcheck compares them on
+every pair it visits.
 """
 
 from collections import namedtuple
@@ -228,47 +232,97 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     return QuantumClass(space, terms)
 
 
+def indexed_table(space: Grassmannian) -> tuple[
+    list[tuple[int, Partition]], Iterator[tuple[int, dict[int, dict[int, int]]]]
+]:
+    """Every product s[lam] * s[mu] of two basis classes, on basis indices,
+    as (keys, rows).  The basis is numbered once, in partition order, and the
+    term q**d * s[p] is the int t = d * size + (p's index), with size the
+    basis size: keys[t] is (d, p), and the ints sort as those pairs do.  A
+    class's index is its q**0 term, so keys[j] is (0, the class).  rows
+    yields one (lam's index, {mu's index: {t: nonzero coefficient}}) per
+    basis class lam, lam and the mu of each row in basis order.  An entry
+    may be the very dict that another row holds for the same unordered pair,
+    so callers read entries and never change them.
+
+    The rows come from quantum Pieri alone (Bertram).  With mu = (a, rest),
+    Pieri gives s[a] * s[rest] = s[mu] + (classes of the same weight with
+    first row > a) + q * (classes of lower weight), so with mu by weight,
+    then by first row descending, the entry for mu is s[a] * (s[lam] *
+    s[rest]) minus s[lam] times the other terms of s[a] * s[rest].  Every
+    Pieri coefficient is 1, so each Pieri product is memoized as the tuple
+    of its term ints.  Products commute, so row lam computes only the mu at
+    or after lam in basis order; the entry it computes for a later mu waits
+    in a store until row mu starts, where it is the entry for lam.  When the
+    k-th row (from 0) starts, the store holds k * (size - k) entries, at
+    most a quarter of the table.  The memo and the store live and die with
+    one call.  It runs neither LR nor rim-hook reduction, so it and
+    quantum_product check each other."""
+    m, n = space.m, space.n
+    basis = space.basis()  # by weight, then by first row descending
+    names = sorted(basis)
+    # weight(nu) + d * n = |lam| + |mu| <= 2 m (n - m) bounds every q power
+    keys = [(d, p) for d in range(2 * m * (n - m) // n + 1) for p in names]
+    return keys, _indexed_rows(space, basis, names)
+
+
+def _indexed_rows(space, basis, names):
+    size = len(names)
+    index = {p: j for j, p in enumerate(names)}
+    memo = [[None] * size for _ in range(space.box_cols + 1)]  # memo[a][j]: s[a] * s[names[j]]
+
+    def pieri(a: int, j: int) -> tuple[int, ...]:
+        found = memo[a][j] = tuple(
+            d * size + index[p] for d, p in quantum_pieri(a, names[j], space).terms
+        )
+        return found
+
+    # for each mu past the unit: its index, a, the memo of s[a], rest's index,
+    # and (q power * size, index) for each other term of s[a] * s[rest]
+    steps = []
+    for mu in basis[1:]:
+        own, a, rest = index[mu], mu[0], index[mu[1:]]
+        others = tuple((t - t % size, t % size) for t in pieri(a, rest) if t != own)
+        steps.append((own, a, memo[a], rest, others))
+    unit = index[()]
+    pending: list = [{} for _ in names]  # pending[j]: row j's entries from earlier rows
+    pending[unit][unit] = {unit: 1}
+    for i, lam in enumerate(basis):
+        j = index[lam]
+        row, pending[j] = pending[j], None
+        for own, a, memo_a, rest, others in steps[max(i - 1, 0):]:
+            terms: dict[int, int] = {}
+            for t, c in row[rest].items():
+                k = t % size
+                products = memo_a[k]
+                if products is None:
+                    products = pieri(a, k)
+                for p in products:
+                    key = t - k + p
+                    terms[key] = terms.get(key, 0) + c
+            for shift, k in others:
+                for t, c in row[k].items():
+                    key = t + shift
+                    terms[key] = terms.get(key, 0) - c
+            row[own] = entry = {t: c for t, c in terms.items() if c}
+            if own != j:
+                pending[own][j] = entry
+        yield j, row
+
+
 def product_table(
     space: Grassmannian,
 ) -> Iterator[tuple[Partition, dict[Partition, dict[tuple[int, Partition], int]]]]:
     """Every product s[lam] * s[mu] of two basis classes, from quantum Pieri
-    alone (Bertram), as one row (lam, {mu: terms}) per basis class lam.  Rows
-    and the mu of each row come in basis order; terms maps (q power,
-    partition) to a nonzero coefficient.  With mu = (a, rest), Pieri gives
-    s[a] * s[rest] = s[mu] + (classes of the same weight with first row > a)
-    + q * (classes of lower weight), so each row is built with mu by weight,
-    then by first row descending, as s[a] * (s[lam] * s[rest]) minus s[lam]
-    times the other terms of s[a] * s[rest].  Every Pieri coefficient is 1,
-    so a Pieri product is memoized as the tuple of its (q power, partition)
-    keys, for this call only, and a row is yielded as soon as it is built:
-    a caller that renders rows as they come holds the memo and one row.  It
-    runs neither LR nor rim-hook reduction, so it and quantum_product check
-    each other."""
-    pieri: dict[tuple[int, Partition], tuple[tuple[int, Partition], ...]] = {}
-
-    def pieri_keys(a: int, kappa: Partition) -> tuple[tuple[int, Partition], ...]:
-        if (a, kappa) not in pieri:
-            pieri[a, kappa] = tuple(quantum_pieri(a, kappa, space).terms)
-        return pieri[a, kappa]
-
-    basis = space.basis()  # by weight, then by first row descending
-    for lam in basis:
-        row: dict[Partition, dict[tuple[int, Partition], int]] = {(): {(0, lam): 1}}
-        for mu in basis[1:]:
-            a, rest = mu[0], mu[1:]
-            terms: dict[tuple[int, Partition], int] = {}
-            for (d, kappa), c in row[rest].items():
-                for e, nu in pieri_keys(a, kappa):
-                    key = (d + e, nu)
-                    terms[key] = terms.get(key, 0) + c
-            for e, nu in pieri_keys(a, rest):
-                if nu == mu:
-                    continue  # the one term of weight |mu| with first row a
-                for (d, kappa), c in row[nu].items():
-                    key = (d + e, kappa)
-                    terms[key] = terms.get(key, 0) - c
-            row[mu] = {key: c for key, c in terms.items() if c}
-        yield lam, row
+    alone, as one row (lam, {mu: terms}) per basis class lam.  Rows and the
+    mu of each row come in basis order; terms maps (q power, partition) to a
+    nonzero coefficient.  It decodes indexed_table's rows one at a time, so
+    every yielded dict is new and the caller may keep or change it."""
+    keys, rows = indexed_table(space)
+    for j, row in rows:
+        yield keys[j][1], {
+            keys[k][1]: {keys[t]: c for t, c in terms.items()} for k, terms in row.items()
+        }
 
 
 def clear_cache() -> None:
@@ -280,6 +334,7 @@ __all__ = [
     "ReductionOutcome",
     "clear_cache",
     "format_terms",
+    "indexed_table",
     "product_table",
     "quantum_pieri",
     "quantum_product",

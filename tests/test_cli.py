@@ -195,10 +195,10 @@ def test_nd_over_the_work_limit_exits_4(capsys):
 def test_qtable_over_the_work_limit_exits_4(child_env):
     from qschub.cli import MAX_QTABLE_BASIS
 
-    assert MAX_QTABLE_BASIS == 209
-    proc = run_child(child_env, "qtable", "G(4,10)")
+    assert MAX_QTABLE_BASIS == 324
+    proc = run_child(child_env, "qtable", "G(2,26)")
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr == "error: qtable is computed for basis size <= 209 (work limit), got 210\n"
+    assert proc.stderr == "error: qtable is computed for basis size <= 324 (work limit), got 325\n"
 
 
 def test_qmul_over_the_work_limit_exits_4(child_env):
@@ -272,7 +272,7 @@ def test_lr_over_the_work_limit_exits_4(child_env):
     (["basis", "G(1000000,2000000)"], 200000),
     (["gw", "G(1000000,2000000)", "-d", "1", "1", "1"], 2000),
     (["count", "G(1000000,2000000)", "-d", "1", "1", "1"], 2000),
-    (["qtable", "G(1000000,2000000)"], 209),
+    (["qtable", "G(1000000,2000000)"], 324),
 ])
 def test_work_limit_of_a_huge_space_skips_the_full_binomial(child_env, argv, limit):
     # the exact C(2000000, 1000000) took 41 s to compute and 6 s more to print
@@ -300,7 +300,7 @@ _WORK_LIMIT = re.compile(r"error: \S+ is computed for [^\n]+ <= \d+ \(work limit
     (["qmul", "G(5,14)", "1", "1"], "2002"),
     (["gw", "G(5,14)", "-d", "1", "1", "1"], "2002"),
     (["count", "G(5,14)", "-d", "1", "1", "1"], "2002"),
-    (["qtable", "G(4,10)"], "210"),
+    (["qtable", "G(2,26)"], "325"),
     (["nd", "501"], "501"),
     (["nd", "--upto", "501"], "501"),
 ])
@@ -535,7 +535,7 @@ def test_qtable_past_its_limit_opens_no_output_file(tmp_path, capsys):
     from qschub.cli import MAX_QTABLE_BASIS
 
     target = tmp_path / "table.json"
-    for space in ("G(1000000,2000000)", "G(4,10)"):
+    for space in ("G(1000000,2000000)", "G(2,26)"):
         code, out, err = run(capsys, "qtable", space, "--json", "-o", str(target))
         assert (code, out) == (4, ""), space
         assert err.startswith(f"error: qtable is computed for basis size <= {MAX_QTABLE_BASIS} ")

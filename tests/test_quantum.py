@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import given, settings
@@ -138,7 +138,11 @@ def test_dual_path_equality(space):
             assert quantum_pieri(p, lam, space) == quantum_product((p,), lam, space)
 
 
-@pytest.mark.parametrize("space", [grassmannian(3, 7), grassmannian(5, 8)])
+# G(1,12) and G(11,12) are one row and one column: there the Pieri memo
+# holds every (a, class) pair or only a = 1, and the store of entries that
+# wait for later rows is as large or as small as it gets
+@pytest.mark.parametrize("space", [grassmannian(3, 7), grassmannian(5, 8),
+                                   grassmannian(1, 12), grassmannian(11, 12)])
 def test_product_table_matches_quantum_product_on_every_pair(space):
     basis = space.basis()
     rows = list(product_table(space))
@@ -146,6 +150,20 @@ def test_product_table_matches_quantum_product_on_every_pair(space):
     assert [lam for lam, _ in rows] == basis
     for lam, row in rows:
         assert list(row) == basis
+        for mu, terms in row.items():
+            assert terms == quantum_product(lam, mu, space).terms, (lam, mu)
+
+
+def test_product_table_entries_share_nothing():
+    # row lam's entry for mu and row mu's entry for lam come from one
+    # computation; changing the entries of the first rows, before the later
+    # rows are built, must change none of those
+    space = grassmannian(3, 6)
+    rows = product_table(space)
+    for _, row in islice(rows, 3):
+        for terms in row.values():
+            terms[(0, ())] = 7
+    for lam, row in rows:
         for mu, terms in row.items():
             assert terms == quantum_product(lam, mu, space).terms, (lam, mu)
 
