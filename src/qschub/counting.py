@@ -11,8 +11,7 @@ by d per divisor condition).
 
 from collections import namedtuple
 
-from .gromov_witten import GWQuery, gw_spoint
-from .partitions import weight
+from .gromov_witten import DIVISOR, GWQuery, gw_spoint
 
 
 class CountProblem(namedtuple("CountProblem", "space degree conditions")):
@@ -40,7 +39,7 @@ def rational_curve_count(problem: CountProblem) -> CountResult:
     if problem.degree < 1:
         raise ValueError("curve counting needs degree >= 1")
     value = gw_spoint(problem.as_query())
-    r = sum(1 for g in problem.conditions if weight(g) == 1)
+    r = problem.conditions.count(DIVISOR)  # s[1] is the one class of weight 1
     scale = problem.degree**r
     if value % scale:
         raise RuntimeError(

@@ -13,7 +13,7 @@ are all point classes is the number N_d of degree-d rational plane curves.
 from collections import namedtuple
 
 from .errors import NotComputableError, UnbalancedQueryError
-from .partitions import Partition, weight
+from .partitions import Partition, box_complement, weight
 from .plane_curves import kontsevich_nd
 # quantum_product is unused here; perfbench/tracer.py wraps it until ROADMAP Direction 1
 from .quantum import _product_terms, quantum_product
@@ -25,11 +25,13 @@ POINT_P2: Partition = (2,)
 _P2 = grassmannian(1, 3)
 
 
-def _three_point(space: Grassmannian, a: Partition, b: Partition, c: Partition, d: int) -> int:
-    """gw_3point on classes already checked, read from the cached product."""
-    if weight(a) + weight(b) + weight(c) != space.moduli_dimension(3, d):
-        return 0
-    return dict(_product_terms(a, b, space)).get((d, space.dual(c)), 0)
+def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Partition,
+                        d: int) -> int:
+    """The coefficient of q**d s[dual(c)] in s[a] * s[b], read from the
+    cached product, for classes already box-checked: the dual is flipped
+    without a second box check, and the weights are not tested."""
+    _, m, n = space
+    return dict(_product_terms(a, b, space)).get((d, box_complement(c, m, n - m)), 0)
 
 
 def gw_3point(
@@ -46,7 +48,9 @@ def gw_3point(
         space.require_in_box(p)
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    return _three_point(space, first, second, third, d)
+    if weight(first) + weight(second) + weight(third) != space.moduli_dimension(3, d):
+        return 0
+    return _structure_constant(space, first, second, third, d)
 
 
 class GWQuery(namedtuple("GWQuery", "space degree insertions")):
@@ -66,7 +70,7 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
         return cls(*iterable)  # so _replace checks its fields too
 
     def total_codim(self) -> int:
-        return sum(weight(p) for p in self.insertions)
+        return sum(map(weight, self.insertions))
 
     def is_balanced(self) -> bool:
         return self.total_codim() == self.space.moduli_dimension(
@@ -75,11 +79,12 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
 
     def require_balanced(self) -> None:
         """Raise UnbalancedQueryError unless the codimensions sum to the
-        moduli dimension."""
-        if not self.is_balanced():
+        moduli dimension; each side is computed once."""
+        space, d, insertions = self
+        codim, expected = self.total_codim(), space.moduli_dimension(len(insertions), d)
+        if codim != expected:
             raise UnbalancedQueryError(
-                f"codimensions sum to {self.total_codim()}, moduli dimension is "
-                f"{self.space.moduli_dimension(len(self.insertions), self.degree)}"
+                f"codimensions sum to {codim}, moduli dimension is {expected}"
             )
 
 
@@ -93,6 +98,11 @@ def gw_spoint(query: GWQuery) -> int:
     d; three or fewer classes left give a quantum structure constant (padded
     back with s[1], dividing by d per pad, always exactly); more are
     computed only as the plane count N_d: all point classes on G(1,3).
+
+    The three-point reads skip gw_3point's weight test: with s
+    insertions, k of them s[1] stripped and pad = 3 - (s - k) put back, the
+    classes read have codimension dim + s - 3 + d * n - k + pad = dim + d * n,
+    which is moduli_dimension(3, d), on every route (k = pad = 0 at d = 0).
     """
     space, d, insertions = query
     require_type_a(space)
@@ -107,14 +117,14 @@ def gw_spoint(query: GWQuery) -> int:
         # Past three insertions every evaluation map factors through the
         # space, so the integrand is pulled back from it and has degree
         # above its dimension (Fulton-Pandharipande, Notes on stable maps).
-        return _three_point(space, *insertions, 0) if len(insertions) == 3 else 0
+        return _structure_constant(space, *insertions, 0) if len(insertions) == 3 else 0
     if () in insertions:
         return 0
     rest = [p for p in insertions if p != DIVISOR]
     stripped = len(insertions) - len(rest)
     if len(rest) <= 3:
         pad = 3 - len(rest)
-        value = d**stripped * _three_point(space, *rest, *[DIVISOR] * pad, d)
+        value = d**stripped * _structure_constant(space, *rest, *[DIVISOR] * pad, d)
         if value % d**pad:
             raise RuntimeError("divisor stripping produced a non-integral value; this is a bug")
         return value // d**pad

@@ -84,9 +84,15 @@ def dual_in_box(p: Partition, rows: int, cols: int) -> Partition:
     index of the Poincare dual Schubert class.  Involution on the box."""
     if not fits_in_box(p, rows, cols):
         raise BoxError(f"partition {format_partition(p)} does not fit a {rows}x{cols} box")
-    padded = p + (0,) * (rows - len(p))
-    flipped = tuple(cols - padded[rows - 1 - i] for i in range(rows))
-    return tuple(x for x in flipped if x)  # weakly decreasing, >= 0 since p fits
+    return box_complement(p, rows, cols)
+
+
+def box_complement(p: Partition, rows: int, cols: int) -> Partition:
+    """dual_in_box without its box check, for a p known to fit: each missing
+    row becomes a full row of cols, then each row x, bottom up, becomes
+    cols - x unless that is 0."""
+    full = (cols,) * (rows - len(p)) if cols else ()
+    return full + tuple(cols - x for x in reversed(p) if x != cols)
 
 
 def enumerate_box(rows: int, cols: int) -> list[Partition]:

@@ -22,6 +22,11 @@ in basis order, and takes the rest from the rows before it, since products
 commute.  Rows are yielded one at a time so that a table is rendered as it
 is built.  The two paths share no code, and selfcheck compares them on
 every pair it visits.
+
+A single product on a tall space (m > n - m) is computed on G(n - m, n),
+with the partitions conjugated: s[p] -> s[p'] with q fixed maps the ring
+of G(m, n) onto that of G(n - m, n), and the LR expansion grows with the
+rows of the box.
 """
 
 from collections import namedtuple
@@ -31,7 +36,7 @@ from functools import lru_cache
 from .errors import BoxError
 from .lr import schur_product
 from .partitions import (
-    Partition, format_partition, is_horizontal_strip, partitions_of_weight, weight
+    Partition, conjugate, format_partition, is_horizontal_strip, partitions_of_weight, weight
 )
 from .spaces import Grassmannian, require_type_a
 
@@ -95,9 +100,17 @@ class QuantumClass:
         return f"{self.__class__.__qualname__}(space={self.space!r}, terms={self.terms!r})"
 
     @classmethod
+    def _nonzero(cls, space: Grassmannian, terms: dict) -> "QuantumClass":
+        """A class that takes terms known to hold no zero coefficient as
+        they are, without __init__'s filter."""
+        self = object.__new__(cls)
+        self.space, self.terms = space, terms
+        return self
+
+    @classmethod
     def from_partition(cls, space: Grassmannian, p: Partition) -> "QuantumClass":
         space.require_in_box(p)
-        return cls(space, {(0, p): 1})
+        return cls._nonzero(space, {(0, p): 1})
 
     @classmethod
     def unit(cls, space: Grassmannian) -> "QuantumClass":
@@ -146,9 +159,10 @@ class QuantumClass:
         out: dict[tuple[int, Partition], int] = {}
         for (d1, p1), c1 in self.terms.items():
             for (d2, p2), c2 in other.terms.items():
+                shift, scale = d1 + d2, c1 * c2
                 for (d, p), c in _product_terms(p1, p2, space):
-                    key = (d + d1 + d2, p)
-                    out[key] = out.get(key, 0) + c1 * c2 * c
+                    key = (d + shift, p)
+                    out[key] = out.get(key, 0) + scale * c
         return QuantumClass(space, out)
 
     __rmul__ = __mul__
@@ -179,6 +193,20 @@ def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
 
 @lru_cache(maxsize=1 << 16)
 def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
+    """The nonzero terms ((q power, partition), coefficient) of s[lam] *
+    s[mu], sorted.  On a tall space they are the terms of s[lam'] * s[mu']
+    on G(n - m, n), each partition conjugated back (see the module
+    docstring); the cache key stays the caller's pair."""
+    _, m, n = space
+    if 2 * m > n:
+        short = _reduced_terms(conjugate(lam), conjugate(mu), Grassmannian("A", n - m, n))
+        return tuple(sorted(((d, conjugate(p)), c) for (d, p), c in short.items()))
+    return tuple(sorted(_reduced_terms(lam, mu, space).items()))
+
+
+def _reduced_terms(lam: Partition, mu: Partition, space: Grassmannian):
+    """The LR expansion of s[lam] * s[mu] reduced mod n-rim-hooks, as
+    {(q power, core): nonzero coefficient}."""
     terms: dict[tuple[int, Partition], int] = {}
     for nu, coeff in schur_product(lam, mu, space.m).items():
         reduced = rim_hook_reduce(nu, space)
@@ -186,7 +214,7 @@ def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
             continue
         key = (reduced.q_power, reduced.core)
         terms[key] = terms.get(key, 0) + coeff * reduced.sign
-    return tuple(sorted((key, c) for key, c in terms.items() if c))
+    return {key: c for key, c in terms.items() if c}
 
 
 def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> QuantumClass:
@@ -197,7 +225,7 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     this one."""
     space.require_in_box(lam)
     space.require_in_box(mu)
-    return QuantumClass(space, dict(_product_terms(lam, mu, space)))
+    return QuantumClass._nonzero(space, dict(_product_terms(lam, mu, space)))
 
 
 def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Partition]:

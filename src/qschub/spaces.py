@@ -134,13 +134,18 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
         return fits_in_box(p, self.m, self.box_cols)
 
     def require_in_box(self, p: Partition) -> None:
-        """Raise BoxError unless p indexes a Schubert class of the space.
-        It calls fits_in_box itself, one call fewer than through in_box,
-        since every product and invariant makes this check per class."""
-        if not fits_in_box(p, self.m, self.box_cols):
+        """Raise BoxError unless p indexes a Schubert class of the space
+        (UnsupportedFamilyError first on an isotropic space).  Every product
+        and invariant makes this check per class, so it unpacks the fields
+        once and inlines fits_in_box's test, with no call at all; a test
+        pins it to in_box on and past the edges of a box."""
+        family, m, n = self
+        if family != "A":
+            raise UnsupportedFamilyError(_ISOTROPIC_MSG)
+        if len(p) > m or (p and p[0] > n - m):
             raise BoxError(
                 f"partition {format_partition(p)} does not fit the "
-                f"{self.m}x{self.box_cols} box of {self.notation}"
+                f"{m}x{n - m} box of {self.notation}"
             )
 
     def basis(self) -> list[Partition]:

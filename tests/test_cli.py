@@ -421,6 +421,10 @@ def test_deep_boxes_answer_or_exit_4(child_env):
 
     proc = run_child(child_env, "qmul", "G(1999,2000)", "1", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "s[1,1]\n", "")
+    # computed on G(1,2000), where it is s[1000] * s[999] = s[1999]; it ran past
+    # 60 s on the 1999-row box itself
+    proc = run_child(child_env, "qmul", "G(1999,2000)", ones(1000), ones(999))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"s[{ones(1999)}]\n", "")
     proc = run_child(child_env, "gw", "G(1999,2000)", "-d", "0", "1", "1", ones(1997))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
     for argv in (["basis", "G(1999,2000)"], ["lr", "1", ones(1998), ones(1999)]):

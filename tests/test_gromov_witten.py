@@ -14,7 +14,8 @@ from qschub.errors import (
 from qschub.gromov_witten import GWQuery, gw_3point, gw_spoint
 from qschub.partitions import weight
 from qschub.plane_curves import kontsevich_nd
-from qschub.quantum import product_table
+from qschub import partitions, spaces
+from qschub.quantum import QuantumClass, product_table, quantum_product
 from qschub.spaces import Grassmannian, grassmannian, parse_space
 
 G24 = grassmannian(2, 4)
@@ -93,6 +94,8 @@ def test_spoint_validates():
     assert gw_spoint(GWQuery(G24, 0, ((1,), (1,), (2,)))) == 1
     with pytest.raises(UnsupportedFamilyError):
         gw_spoint(GWQuery(parse_space("IG(2,6)"), 1, ((1,), (1,), (1,))))
+    with pytest.raises(UnsupportedFamilyError):
+        GWQuery(parse_space("IG(2,6)"), 1, ((1,), (1,), (1,))).is_balanced()
     with pytest.raises(NotComputableError):
         # balanced 4-point query without divisor insertions, not on the plane
         gw_spoint(GWQuery(G24, 2, ((2, 2), (2, 2), (2, 1), (2,))))
@@ -100,7 +103,7 @@ def test_spoint_validates():
 
 def test_one_box_check_per_insertion(monkeypatch):
     # gw_spoint checks each insertion; its three-point route reads the
-    # product cache without checking the classes again
+    # product cache and flips the dual without checking the classes again
     calls = []
     real = Grassmannian.require_in_box
 
@@ -108,19 +111,36 @@ def test_one_box_check_per_insertion(monkeypatch):
         calls.append(p)
         real(space, p)
 
+    def unreachable(*args):
+        raise AssertionError("a second box check through dual_in_box")
+
     monkeypatch.setattr(Grassmannian, "require_in_box", counted)
+    for module in (partitions, spaces):
+        monkeypatch.setattr(module, "dual_in_box", unreachable)
     five = ((1,), (1,), (1,), (2, 1), (2, 2))
-    for query in (GWQuery(G24, 1, five), GWQuery(G24, 0, ((1,), (1,), (1,), (1,), (2,)))):
+    three = ((1,), (1,), (1, 1))
+    for query in (GWQuery(G24, 1, five), GWQuery(G24, 0, ((1,), (1,), (1,), (1,), (2,))),
+                  GWQuery(G24, 0, three), GWQuery(G24, 1, ((2, 2), (2, 1))),
+                  GWQuery(P2, 2, ((2,),) * 5)):
         assert query.is_balanced()
         calls.clear()
         gw_spoint(query)
-        assert len(calls) == 5, query
+        assert len(calls) == len(query.insertions), query
     calls.clear()
-    rational_curve_count(CountProblem(G24, 1, five))
+    assert rational_curve_count(CountProblem(G24, 1, five)).curve_count == 1
     assert len(calls) == 5
     calls.clear()
     gw_3point(G24, (2, 2), (1, 1), (2,), 1)
     assert len(calls) == 3
+    # a warm product checks its two classes; a class product each term of each factor
+    quantum_product((2, 1), (1,), G24)
+    calls.clear()
+    left = quantum_product((2, 1), (1,), G24)
+    assert calls == [(2, 1), (1,)]
+    right = QuantumClass(G24, {(0, (1,)): 2, (0, (2,)): 1, (1, ()): -1})
+    calls.clear()
+    left * right
+    assert sorted(calls) == sorted([p for _, p in left.terms] + [p for _, p in right.terms])
 
 
 @pytest.mark.parametrize("space", [G24, grassmannian(2, 5), grassmannian(3, 6)])

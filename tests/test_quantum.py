@@ -11,6 +11,7 @@ from qschub.partitions import partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
     ReductionOutcome,
+    _reduced_terms,
     product_table,
     quantum_pieri,
     quantum_product,
@@ -101,6 +102,30 @@ def test_quantum_product_golden_table():
 def test_quantum_product_p2():
     assert quantum_product((2,), (2,), P2).terms == {(1, (1,)): 1}
     assert quantum_product((2,), (1,), P2).terms == {(1, ()): 1}
+
+
+def test_quantum_product_returns_its_own_terms():
+    # each call wraps the cached terms in a new dict, with no zero filter
+    first = quantum_product((2, 1), (1,), G24)
+    expected = dict(first.terms)
+    first.terms[(0, (1,))] = 5
+    del first.terms[(1, ())]
+    second = quantum_product((2, 1), (1,), G24)
+    assert second.terms == expected == {(0, (2, 2)): 1, (1, ()): 1}
+    assert second.terms is not first.terms
+    for space in (G24, G37, grassmannian(4, 6)):
+        basis = space.basis()
+        for lam, mu in combinations_with_replacement(basis, 2):
+            assert all(quantum_product(lam, mu, space).terms.values()), (space, lam, mu)
+
+
+@pytest.mark.parametrize("space", [grassmannian(3, 5), grassmannian(4, 6), grassmannian(5, 7)])
+def test_tall_products_match_the_expansion_on_the_tall_box(space):
+    # quantum_product works on G(n - m, n); the reduction on the m-row box itself
+    # is the other side of the isomorphism
+    basis = space.basis()
+    for lam, mu in combinations_with_replacement(basis, 2):
+        assert quantum_product(lam, mu, space).terms == _reduced_terms(lam, mu, space)
 
 
 def test_quantum_product_validates():

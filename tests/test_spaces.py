@@ -2,7 +2,8 @@ from math import comb, log10
 
 import pytest
 
-from qschub.errors import DegreeRangeError, UnsupportedFamilyError
+from qschub.errors import BoxError, DegreeRangeError, UnsupportedFamilyError
+from qschub.partitions import enumerate_box
 from qschub.spaces import Grassmannian, MoreThan, grassmannian, parse_space
 
 
@@ -116,6 +117,37 @@ def test_point_class_and_dual():
     assert g.point_class() == (2, 2)
     assert g.dual((1,)) == (2, 1)
     assert g.basis()[0] == ()
+
+
+def test_box_error_messages():
+    g = grassmannian(2, 4)
+    for p, text in (((3,), "partition 3 does not fit the 2x2 box of G(2,4)"),
+                    ((1, 1, 1), "partition 1,1,1 does not fit the 2x2 box of G(2,4)")):
+        with pytest.raises(BoxError) as err:
+            g.require_in_box(p)
+        assert str(err.value) == text
+
+
+def test_isotropic_spaces_refuse_before_any_box_check():
+    for notation in ("IG(2,6)", "OG(2,7)"):
+        space = parse_space(notation)
+        for p in ((1,), (9, 9), (1, 1, 1)):
+            with pytest.raises(UnsupportedFamilyError) as err:
+                space.require_in_box(p)
+            assert str(err.value) == "isotropic quantum products out of scope"
+
+
+def test_in_box_agrees_with_require_in_box():
+    g = grassmannian(3, 7)  # a 3x4 box
+    shapes = enumerate_box(4, 5)  # every shape of it, and one row and one column past it
+    assert sum(map(g.in_box, shapes)) == len(g.basis()) == 35
+    for p in shapes:
+        try:
+            g.require_in_box(p)
+            checked = True
+        except BoxError:
+            checked = False
+        assert checked == g.in_box(p), p
 
 
 def test_to_json():
