@@ -20,6 +20,7 @@ import argparse
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
+from math import log10
 from operator import itemgetter
 
 from .counting import CountProblem, rational_curve_count
@@ -31,7 +32,7 @@ from .errors import (
     require_within,
 )
 # gw_3point is unused here; perfbench/tracer.py wraps it until ROADMAP Direction 1
-from .gromov_witten import GWQuery, gw_3point, gw_spoint
+from .gromov_witten import DIVISOR, GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition, weight
 from .plane_curves import kontsevich_nd, nd_values
@@ -71,7 +72,11 @@ MAX_BASIS_CELLS = 4_000_000
 # --json (49,859 digits, 20,000 lines) takes about 0.4 s end to end, while
 # G(100000,200000) took 1.7 s and OG(200000,400001) 1.1 s and 4.6 MB.
 MAX_INFO_LINES = 20_000
-MAX_INFO_DIGITS = 50_000
+# info's C(n, m), and the d^r of gw and count: each s[1] insertion multiplies
+# the answer by d, and printing it grows faster than its length.  count
+# "G(1,3)" -d 500 with 1,499 points and 180,000 s[1] took 4.7 s for 493 KB;
+# the largest d = 500 case within the bound (18,525 s[1]) takes about 1 s.
+MAX_DIGITS = 50_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,6 +153,30 @@ def _class_arg(text: str, space: Grassmannian) -> Partition:
     return p
 
 
+def _space_and_classes(args, texts: list[str]) -> tuple[Grassmannian, tuple[Partition, ...]]:
+    """The front door of qmul, gw and count: the space, then each class
+    parsed and box-checked in turn, then the basis-size limit, so that an
+    input error is reported before any limit."""
+    space = parse_space(args.space)
+    classes = tuple(_class_arg(t, space) for t in texts)
+    require_within(args.command, "basis size", MAX_QMUL_BASIS, space.basis_size())
+    return space, classes
+
+
+def _require_power_digits(args, classes: tuple[Partition, ...]) -> None:
+    """The limit on the digits of d^r, with r the number of s[1] classes,
+    checked before the power is taken.  The logarithm counts them to within
+    one; where that decides the limit the power is short, and is compared."""
+    d, r = args.degree, classes.count(DIVISOR)
+    if d < 2 or not r:
+        return  # d^r has one digit; a degree below 0 is refused later
+    digits = int(r * log10(d)) + 1
+    if digits <= MAX_DIGITS + 2:
+        power = d**r
+        digits += (power >= 10**digits) - (power < 10 ** (digits - 1))
+    require_within(args.command, "digits of d^r", MAX_DIGITS, digits)
+
+
 def _terms_json(qc: QuantumClass) -> list[dict]:
     return [
         {"q": d, "partition": format_partition(p), "coeff": c}
@@ -171,10 +200,10 @@ def _cmd_info(args):
     if space.family == "A":
         # exact up to the cap, where the float log sum can round either way;
         # that sum (min(m, n - m) = lines terms) only reports the digits
-        size = space.basis_size(MAX_INFO_DIGITS)
-        if size >= 10**MAX_INFO_DIGITS:
-            digits = max(int(space.basis_size_log10()) + 1, MAX_INFO_DIGITS + 1)
-            require_within("info", "digits of C(n, m)", MAX_INFO_DIGITS, digits)
+        size = space.basis_size(MAX_DIGITS)
+        if size >= 10**MAX_DIGITS:
+            digits = max(int(space.basis_size_log10()) + 1, MAX_DIGITS + 1)
+            require_within("info", "digits of C(n, m)", MAX_DIGITS, digits)
         data["dimension"] = space.dimension()
         data["c1_degree"] = space.c1_degree()
         data["box"] = {"rows": space.m, "cols": space.box_cols}
@@ -223,10 +252,7 @@ def _cmd_lr(args):
 
 
 def _cmd_qmul(args):
-    space = parse_space(args.space)
-    lam = _class_arg(args.lam, space)
-    mu = _class_arg(args.mu, space)
-    require_within("qmul", "basis size", MAX_QMUL_BASIS, space.basis_size())
+    space, (lam, mu) = _space_and_classes(args, [args.lam, args.mu])
     return {"terms": _terms_json(quantum_product(lam, mu, space))}, space, 0
 
 
@@ -281,9 +307,8 @@ def _qtable_json(table) -> Iterator[str]:
 
 
 def _cmd_gw(args):
-    space = parse_space(args.space)
-    insertions = tuple(_class_arg(t, space) for t in args.insertions)
-    require_within("gw", "basis size", MAX_QMUL_BASIS, space.basis_size())
+    space, insertions = _space_and_classes(args, args.insertions)
+    _require_power_digits(args, insertions)
     value = gw_spoint(GWQuery(space, args.degree, insertions))
     payload = {"degree": args.degree, "insertions": [format_partition(p) for p in insertions],
                "value": value}
@@ -291,9 +316,8 @@ def _cmd_gw(args):
 
 
 def _cmd_count(args):
-    space = parse_space(args.space)
-    conditions = tuple(_class_arg(t, space) for t in args.conditions)
-    require_within("count", "basis size", MAX_QMUL_BASIS, space.basis_size())
+    space, conditions = _space_and_classes(args, args.conditions)
+    _require_power_digits(args, conditions)
     result = rational_curve_count(CountProblem(space, args.degree, conditions))
     payload = {"gw": result.gw_value, "r": result.divisor_conditions, "count": result.curve_count}
     return payload, space, 0

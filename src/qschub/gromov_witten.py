@@ -31,7 +31,7 @@ def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Part
     cached product, for classes already box-checked: the dual is flipped
     without a second box check, and the weights are not tested."""
     _, m, n = space
-    return dict(_product_terms(a, b, space)).get((d, box_complement(c, m, n - m)), 0)
+    return _product_terms(a, b, space).get((d, box_complement(c, m, n - m)), 0)
 
 
 def gw_3point(
@@ -39,16 +39,14 @@ def gw_3point(
 ) -> int:
     """The degree-d three-point invariant of three Schubert classes.
 
-    Returns 0 when the codimensions do not add up to the moduli dimension
-    (the integrand has the wrong degree), so this doubles as a plain
-    coefficient extractor; otherwise it is the coefficient of
-    q^d s[dual(third)] in the quantum product of the first two classes.
+    The classes are box-checked, then GWQuery checks the degree.  Returns 0
+    unless the query is balanced (else the integrand has the wrong degree),
+    so this doubles as a plain coefficient extractor; otherwise it is the
+    coefficient of q^d s[dual(third)] in the product of the first two.
     """
     for p in (first, second, third):
         space.require_in_box(p)
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
-    if weight(first) + weight(second) + weight(third) != space.moduli_dimension(3, d):
+    if not GWQuery(space, d, (first, second, third)).is_balanced():
         return 0
     return _structure_constant(space, first, second, third, d)
 
@@ -78,13 +76,12 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
         )
 
     def require_balanced(self) -> None:
-        """Raise UnbalancedQueryError unless the codimensions sum to the
-        moduli dimension; each side is computed once."""
-        space, d, insertions = self
-        codim, expected = self.total_codim(), space.moduli_dimension(len(insertions), d)
-        if codim != expected:
+        """Raise UnbalancedQueryError unless is_balanced()."""
+        if not self.is_balanced():
+            space, d, insertions = self
             raise UnbalancedQueryError(
-                f"codimensions sum to {codim}, moduli dimension is {expected}"
+                f"codimensions sum to {self.total_codim()}, "
+                f"moduli dimension is {space.moduli_dimension(len(insertions), d)}"
             )
 
 
@@ -99,7 +96,7 @@ def gw_spoint(query: GWQuery) -> int:
     back with s[1], dividing by d per pad, always exactly); more are
     computed only as the plane count N_d: all point classes on G(1,3).
 
-    The three-point reads skip gw_3point's weight test: with s
+    The three-point reads skip gw_3point's balance test: with s
     insertions, k of them s[1] stripped and pad = 3 - (s - k) put back, the
     classes read have codimension dim + s - 3 + d * n - k + pad = dim + d * n,
     which is moduli_dimension(3, d), on every route (k = pad = 0 at d = 0).

@@ -138,10 +138,9 @@ class QuantumClass:
 
     def __mul__(self, other):
         """The product with an integer or with another class.  Each term is
-        box-checked once, in the order quantum_product's two checks per pair
-        of terms would first meet it (the first left term, every right term,
-        the other left terms), then each pair reads the Schubert product from
-        the terms _product_terms caches, with no QuantumClass built per pair."""
+        box-checked once, the left factor's then the right's, then each pair
+        reads the Schubert product _product_terms caches, with no
+        QuantumClass built per pair."""
         if isinstance(other, int):
             return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
         if not isinstance(other, QuantumClass):
@@ -150,17 +149,13 @@ class QuantumClass:
         if space != other.space:
             raise ValueError("cannot multiply classes on different spaces")
         if self.terms and other.terms:
-            left = iter(self.terms)
-            space.require_in_box(next(left)[1])
-            for _, p in other.terms:
-                space.require_in_box(p)
-            for _, p in left:
+            for _, p in (*self.terms, *other.terms):
                 space.require_in_box(p)
         out: dict[tuple[int, Partition], int] = {}
         for (d1, p1), c1 in self.terms.items():
             for (d2, p2), c2 in other.terms.items():
                 shift, scale = d1 + d2, c1 * c2
-                for (d, p), c in _product_terms(p1, p2, space):
+                for (d, p), c in _product_terms(p1, p2, space).items():
                     key = (d + shift, p)
                     out[key] = out.get(key, 0) + scale * c
         return QuantumClass(space, out)
@@ -193,15 +188,15 @@ def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
 
 @lru_cache(maxsize=1 << 16)
 def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
-    """The nonzero terms ((q power, partition), coefficient) of s[lam] *
-    s[mu], sorted.  On a tall space they are the terms of s[lam'] * s[mu']
-    on G(n - m, n), each partition conjugated back (see the module
-    docstring); the cache key stays the caller's pair."""
+    """s[lam] * s[mu] as {(q power, partition): nonzero coefficient}, keys
+    sorted: the cached record itself, which callers read and never change.
+    On a tall space the terms are those of s[lam'] * s[mu'] on G(n - m, n),
+    conjugated back (see the module docstring); the key is the caller's pair."""
     _, m, n = space
     if 2 * m > n:
         short = _reduced_terms(conjugate(lam), conjugate(mu), Grassmannian("A", n - m, n))
-        return tuple(sorted(((d, conjugate(p)), c) for (d, p), c in short.items()))
-    return tuple(sorted(_reduced_terms(lam, mu, space).items()))
+        return dict(sorted(((d, conjugate(p)), c) for (d, p), c in short.items()))
+    return dict(sorted(_reduced_terms(lam, mu, space).items()))
 
 
 def _reduced_terms(lam: Partition, mu: Partition, space: Grassmannian):

@@ -337,6 +337,42 @@ def test_info_decides_its_digit_limit_on_the_exact_size(capsys):
     assert err == "error: info is computed for digits of C(n, m) <= 50000 (work limit), got 50001\n"
 
 
+def test_gw_and_count_decide_their_digit_limit_on_d_to_the_r(capsys):
+    # each s[1] multiplies the invariant by d, so 49,999 of them at d = 10
+    # give a d^r of 50,000 digits and one more gives 50,001
+    from qschub.plane_curves import kontsevich_nd
+
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # as the CLI does, to write the invariant
+    points = ["2"] * 29
+    code, out, err = run(capsys, "count", "G(1,3)", "-d", "10", *points, *["1"] * 49_999)
+    assert (code, err) == (0, "")
+    n10 = kontsevich_nd(10)
+    assert out == f"GW = {10**49_999 * n10}, r = 49999, curves = {n10}\n"
+    code, out, err = run(capsys, "count", "G(1,3)", "-d", "10", *points, *["1"] * 50_000)
+    assert (code, out) == (4, "")
+    assert err == "error: count is computed for digits of d^r <= 50000 (work limit), got 50001\n"
+    # (10^20 - 1)^2500 has 50,000 digits, though its float logarithm is 50,000
+    # exactly; past the digit limit the query is unbalanced
+    for d, expected in ((10**20 - 1, 3), (10**20 + 1, 4)):
+        code, out, err = run(capsys, "gw", "G(2,4)", "-d", str(d), *["1"] * 2500)
+        assert (code, out) == (expected, ""), d
+        assert ("digits of d^r" in err) == (expected == 4), err
+
+
+@pytest.mark.parametrize("command, degree", [("qmul", []), ("gw", ["-d", "1"]),
+                                             ("count", ["-d", "1"])])
+def test_input_errors_come_before_the_basis_size_limit(capsys, command, degree):
+    # G(10,20) is past MAX_QMUL_BASIS, yet a class out of its box, or one
+    # that does not parse, is what gets reported
+    for bad, expected in (
+        ("11", (3, "error: partition 11 does not fit the 10x10 box of G(10,20)\n")),
+        ("1,x", (2, "error: bad partition syntax: '1,x'\n")),
+    ):
+        code, out, err = run(capsys, command, "G(10,20)", *degree, "1", bad)
+        assert (code, out, err) == (expected[0], "", expected[1]), (command, bad)
+
+
 def test_info_of_a_huge_space_exits_4_at_once(child_env):
     for argv, err in (
         (["info", "G(1000000,2000000)"], "kernel/span lines <= 20000 (work limit), got 1000000"),

@@ -68,6 +68,11 @@ def test_3point_validates():
         gw_3point(G24, (3,), (1,), (1,), 1)
     with pytest.raises(UnsupportedFamilyError):
         gw_3point(parse_space("IG(2,6)"), (1,), (1,), (1,), 1)
+    with pytest.raises(ValueError) as err:
+        gw_3point(G24, (1,), (1,), (1,), -1)
+    assert str(err.value) == "degree must be >= 0, got -1"
+    with pytest.raises(BoxError):
+        gw_3point(G24, (1,), (3,), (1,), -1)  # the box before the degree
 
 
 def test_spoint_examples():

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub.errors import BoxError, UnsupportedFamilyError
+from qschub.gromov_witten import gw_3point
 from qschub.lr import classical_structure_constants
 from qschub.partitions import partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
     ReductionOutcome,
+    _product_terms,
     _reduced_terms,
     product_table,
     quantum_pieri,
@@ -113,6 +115,11 @@ def test_quantum_product_returns_its_own_terms():
     second = quantum_product((2, 1), (1,), G24)
     assert second.terms == expected == {(0, (2, 2)): 1, (1, ()): 1}
     assert second.terms is not first.terms
+    # the other readers of the cached record still see it as it was
+    product = QuantumClass.from_partition(G24, (2, 1)) * QuantumClass.from_partition(G24, (1,))
+    assert product.terms == expected
+    assert gw_3point(G24, (2, 1), (1,), (2, 2), 1) == gw_3point(G24, (2, 1), (1,), (), 0) == 1
+    assert _product_terms((2, 1), (1,), G24) == expected
     for space in (G24, G37, grassmannian(4, 6)):
         basis = space.basis()
         for lam, mu in combinations_with_replacement(basis, 2):
