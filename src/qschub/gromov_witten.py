@@ -28,10 +28,12 @@ _P2 = grassmannian(1, 3)
 def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Partition,
                         d: int) -> int:
     """The coefficient of q**d s[dual(c)] in s[a] * s[b], read from the
-    cached product, for classes already box-checked: the dual is flipped
-    without a second box check, and the weights are not tested."""
+    cached product of the pair in tuple order, for classes already
+    box-checked: the dual is flipped without a second box check, and the
+    weights are not tested."""
     _, m, n = space
-    return _product_terms(a, b, space).get((d, box_complement(c, m, n - m)), 0)
+    terms = _product_terms(a, b, space) if a <= b else _product_terms(b, a, space)
+    return terms.get((d, box_complement(c, m, n - m)), 0)
 
 
 def gw_3point(

@@ -26,7 +26,11 @@ every pair it visits.
 A single product on a tall space (m > n - m) is computed on G(n - m, n),
 with the partitions conjugated: s[p] -> s[p'] with q fixed maps the ring
 of G(m, n) onto that of G(n - m, n), and the LR expansion grows with the
-rows of the box.
+rows of the box.  Products commute, so s[lam] * s[mu] and s[mu] * s[lam]
+are one cached record, keyed on the pair in tuple order; every reader puts
+its pair in that order first.  The expansion grows one letter per row of
+its content, the second factor of schur_product, so the factor of fewer
+rows (after the conjugation), then the lighter, is the content.
 """
 
 from collections import namedtuple
@@ -139,8 +143,8 @@ class QuantumClass:
     def __mul__(self, other):
         """The product with an integer or with another class.  Each term is
         box-checked once, the left factor's then the right's, then each pair
-        reads the Schubert product _product_terms caches, with no
-        QuantumClass built per pair."""
+        reads the Schubert product _product_terms caches, in tuple order,
+        with no QuantumClass built per pair."""
         if isinstance(other, int):
             return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
         if not isinstance(other, QuantumClass):
@@ -155,7 +159,8 @@ class QuantumClass:
         for (d1, p1), c1 in self.terms.items():
             for (d2, p2), c2 in other.terms.items():
                 shift, scale = d1 + d2, c1 * c2
-                for (d, p), c in _product_terms(p1, p2, space).items():
+                terms = _product_terms(p1, p2, space) if p1 <= p2 else _product_terms(p2, p1, space)
+                for (d, p), c in terms.items():
                     key = (d + shift, p)
                     out[key] = out.get(key, 0) + scale * c
         return QuantumClass(space, out)
@@ -190,13 +195,24 @@ def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
 def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
     """s[lam] * s[mu] as {(q power, partition): nonzero coefficient}, keys
     sorted: the cached record itself, which callers read and never change.
-    On a tall space the terms are those of s[lam'] * s[mu'] on G(n - m, n),
-    conjugated back (see the module docstring); the key is the caller's pair."""
+    Callers pass lam <= mu in tuple order, so that both orders of a product
+    read this one record.  On a tall space the terms are those of s[lam'] *
+    s[mu'] on G(n - m, n), conjugated back; either way the factor of fewer
+    rows, then the lighter, is the LR content (see the module docstring)."""
     _, m, n = space
     if 2 * m > n:
-        short = _reduced_terms(conjugate(lam), conjugate(mu), Grassmannian("A", n - m, n))
+        short = _reduced_terms(*_content_last(conjugate(lam), conjugate(mu)),
+                               Grassmannian("A", n - m, n))
         return dict(sorted(((d, conjugate(p)), c) for (d, p), c in short.items()))
-    return dict(sorted(_reduced_terms(lam, mu, space).items()))
+    return dict(sorted(_reduced_terms(*_content_last(lam, mu), space).items()))
+
+
+def _content_last(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
+    """The pair with the factor of fewer rows second, where schur_product
+    takes its content; on equal rows the lighter one, then mu."""
+    if (len(lam), weight(lam)) < (len(mu), weight(mu)):
+        return mu, lam
+    return lam, mu
 
 
 def _reduced_terms(lam: Partition, mu: Partition, space: Grassmannian):
@@ -220,7 +236,8 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     this one."""
     space.require_in_box(lam)
     space.require_in_box(mu)
-    return QuantumClass._nonzero(space, dict(_product_terms(lam, mu, space)))
+    terms = _product_terms(lam, mu, space) if lam <= mu else _product_terms(mu, lam, space)
+    return QuantumClass._nonzero(space, dict(terms))
 
 
 def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Partition]:

@@ -10,9 +10,14 @@ and the plane-count cross checks.  The suites over pairs of basis classes
 poincare_pairing) share one sweep, check_products, which looks each pair's
 product and LR expansion up once; dual_path compares every pair with the
 space's Pieri-built product_table and every single-row product with
-quantum_pieri.  The suites over ordered triples (associativity,
-gw_symmetry) share another, check_triples.  Positivity and grading
-read quantum_product's terms, so a slip in either path fails here.
+quantum_pieri.  Both orders of a product read one cached record, keyed
+on the pair in tuple order, so commutativity checks that every order
+reaches it; that the record does not hang on which factor the LR route
+expands rests on dual_path, which runs no LR, and on lr's symmetry test
+(tests/test_lr.py::test_symmetry_exhaustive_weight_8).  The suites over
+ordered triples (associativity, gw_symmetry) share another, check_triples.
+Positivity and grading read quantum_product's terms, so a slip in either
+path fails here.
 `quick` covers G(2,4) and G(1,3) exhaustively.  `full` adds G(2,5) and
 G(3,6) sweeps, 500 associativity triples on each of G(2,5), G(3,6), G(2,6),
 rim-hook orders on G(3,6), and the divisor rule on G(2,4), G(2,5), G(1,3)

@@ -1,19 +1,21 @@
 import random
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product as cartesian
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qschub import quantum
 from qschub.errors import BoxError, UnsupportedFamilyError
 from qschub.gromov_witten import gw_3point
-from qschub.lr import classical_structure_constants
+from qschub.lr import classical_structure_constants, schur_product
 from qschub.partitions import partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
     ReductionOutcome,
     _product_terms,
     _reduced_terms,
+    clear_cache,
     product_table,
     quantum_pieri,
     quantum_product,
@@ -119,20 +121,59 @@ def test_quantum_product_returns_its_own_terms():
     product = QuantumClass.from_partition(G24, (2, 1)) * QuantumClass.from_partition(G24, (1,))
     assert product.terms == expected
     assert gw_3point(G24, (2, 1), (1,), (2, 2), 1) == gw_3point(G24, (2, 1), (1,), (), 0) == 1
-    assert _product_terms((2, 1), (1,), G24) == expected
+    assert _product_terms((1,), (2, 1), G24) == expected  # the record of both orders
     for space in (G24, G37, grassmannian(4, 6)):
         basis = space.basis()
         for lam, mu in combinations_with_replacement(basis, 2):
             assert all(quantum_product(lam, mu, space).terms.values()), (space, lam, mu)
 
 
-@pytest.mark.parametrize("space", [grassmannian(3, 5), grassmannian(4, 6), grassmannian(5, 7)])
+@pytest.mark.parametrize("space", [grassmannian(3, 5), grassmannian(4, 6), grassmannian(5, 7),
+                                   G25, G36, G37])
 def test_tall_products_match_the_expansion_on_the_tall_box(space):
-    # quantum_product works on G(n - m, n); the reduction on the m-row box itself
-    # is the other side of the isomorphism
+    # quantum_product reads one record per unordered pair, expanded on
+    # G(n - m, n) when the space is tall and with the factor of fewer rows as
+    # the LR content; the reduction of the caller's own pair, in the caller's
+    # order, on the caller's own box, is the other side of each of those moves
     basis = space.basis()
-    for lam, mu in combinations_with_replacement(basis, 2):
+    for lam, mu in cartesian(basis, repeat=2):
         assert quantum_product(lam, mu, space).terms == _reduced_terms(lam, mu, space)
+
+
+@pytest.mark.parametrize("space", [G37, grassmannian(4, 7)])
+def test_each_unordered_product_is_expanded_once(space, monkeypatch):
+    # s[lam] * s[mu] and s[mu] * s[lam] are one record: from a cold cache,
+    # every ordered pair of the basis costs one LR expansion per unordered
+    # pair, whichever order comes first, and the content (schur_product's
+    # second factor, on G(3,7) for the tall G(4,7)) has the fewer rows
+    expansions = []
+
+    def spy(lam, mu, rows):
+        expansions.append((lam, mu))
+        return schur_product(lam, mu, rows)
+
+    monkeypatch.setattr(quantum, "schur_product", spy)
+    basis = space.basis()
+    unordered = len(basis) * (len(basis) + 1) // 2
+    found = {}
+    for reverse_first in (False, True):
+        clear_cache()
+        expansions.clear()
+        for lam, mu in combinations_with_replacement(basis, 2):
+            first, second = ((mu, lam), (lam, mu)) if reverse_first else ((lam, mu), (mu, lam))
+            terms = quantum_product(*first, space).terms
+            assert quantum_product(*second, space).terms == terms, (lam, mu)
+            assert found.setdefault(frozenset((lam, mu)), terms) == terms, (lam, mu)
+        assert len(expansions) == unordered == 630
+        assert all(len(content) <= len(other) for other, content in expansions)
+    # class products and three-point invariants read the same records
+    for lam, mu in cartesian(basis, repeat=2):
+        terms = found[frozenset((lam, mu))]
+        product = QuantumClass.from_partition(space, lam) * QuantumClass.from_partition(space, mu)
+        assert product.terms == terms, (lam, mu)
+        for (d, nu), c in terms.items():
+            assert gw_3point(space, lam, mu, space.dual(nu), d) == c, (lam, mu, d, nu)
+    assert len(expansions) == unordered
 
 
 def test_quantum_product_validates():
