@@ -51,14 +51,17 @@ SCHEMA_VERSION = 1
 # in one session of the three, and G(4,11) (330) 1.33-1.97 s.
 MAX_QTABLE_BASIS = 324
 # qmul, gw and count all reach quantum_product's LR expansion, which grows
-# with the rows of the box and of its content.  A tall space is computed on
-# its short side, with the factor of fewer rows as the content, so the
-# squarest spaces within the bound are the slowest: a hill-climbing search
-# found 5,4,4,3,3,2,1 times 6,5,4,4,3,2,1 on G(7,13) (1,716 classes, computed
-# on G(6,13)), which now takes 0.04 s in process and 0.08 s end to end (2
-# vCPUs, Python 3.11); G(1999,2000) 1^1000 times 1^999 takes 0.03 s end to
-# end.  Past the bound, 8,7,...,1 squared on G(8,16) (12,870 classes) takes
-# 4-6 s.
+# with the rows of the box and of its content.  Each factor is first turned to
+# the lightest class of its Seidel orbit, a tall space is computed on its
+# short side, and the factor of fewer rows is the content, so the squarest
+# spaces within the bound are the slowest: before the rotation a hill-climbing
+# search found 5,4,4,3,3,2,1 times 6,5,4,4,3,2,1 on G(7,13) (1,716 classes),
+# whose lightest pair 5,4,2,1,1 times 5,4,3,2,1 is expanded on G(6,13); it now
+# takes 0.009 s in process and 0.04 s end to end (2 vCPUs, Python 3.11),
+# against 0.04 s and 0.075 s before the rotation; G(1999,2000) 1^1000 times
+# 1^999 takes 0.03 s end to end.  Past the bound, 8,7,...,1 squared on G(8,16)
+# (12,870 classes, expanded as 7,6,...,1 squared) takes 1.2 s in process,
+# against 1.9 s before the rotation.
 MAX_QMUL_BASIS = 2_000
 # lr's expansion grows about 2.5-fold every 6 cells of NU: the slowest
 # coefficients a hill-climbing search found take 1.4 s with 50 cells and

@@ -23,13 +23,24 @@ commute.  Rows are yielded one at a time so that a table is rendered as it
 is built.  The two paths share no code, and selfcheck compares them on
 every pair it visits.
 
-A single product on a tall space (m > n - m) is computed on G(n - m, n),
-with the partitions conjugated: s[p] -> s[p'] with q fixed maps the ring
-of G(m, n) onto that of G(n - m, n), and the LR expansion grows with the
-rows of the box.  Products commute, so s[lam] * s[mu] and s[mu] * s[lam]
-are one cached record, keyed on the pair in tuple order; every reader puts
-its pair in that order first.  The expansion grows one letter per row of
-its content, the second factor of schur_product, so the factor of fewer
+A single product is read from the product of the lightest classes of its
+factors' Seidel orbits.  Quantum Pieri gives s[n-m] * s[lam] a single term,
+q**e s[S lam], and on lam's beads S is b -> b - 1 mod n; S generates a Z/n
+action (Agnihotri-Woodward; Postnikov), and since s[n-m] is invertible,
+s[S**i lam] * s[S**j mu] has the terms of s[lam] * s[mu] with S**(i+j)
+applied to each partition, every coefficient kept, every q power fixed by
+the weights.  The lightest class of an orbit has a bead at 0, so it is
+found in closed form among the m rotations that put one of lam's beads
+there; it is often far lighter than lam (the point class is in the unit's
+orbit), and all the products of two orbits share one LR expansion.
+
+A product of the lightest classes on a tall space (m > n - m) is computed on
+G(n - m, n), with the partitions conjugated: s[p] -> s[p'] with q fixed maps
+the ring of G(m, n) onto that of G(n - m, n), and the LR expansion grows
+with the rows of the box.  Products commute, so s[lam] * s[mu] and s[mu] *
+s[lam] are one cached record, keyed on the pair in tuple order; every reader
+puts its pair in that order first.  The expansion grows one letter per row
+of its content, the second factor of schur_product, so the factor of fewer
 rows (after the conjugation), then the lighter, is the content.
 """
 
@@ -60,6 +71,20 @@ def _reduction_sign(m: int, q_power: int, passes: int) -> int:
     return -1 if (q_power * (m - 1) + passes) % 2 else 1
 
 
+def _beta_numbers(nu: Partition, m: int) -> list[int]:
+    """nu's m beta-numbers nu_i + m - i (i = 1..m), decreasing: the beads of
+    its abacus."""
+    return [part + m - 1 - i for i, part in enumerate(nu + (0,) * (m - len(nu)))]
+
+
+def _from_beads(beads: Iterable[int]) -> Partition:
+    """The partition whose beta-numbers are the distinct `beads`: with them
+    ascending, bead b_i sits on the part b_i - i."""
+    parts = [b - i for i, b in enumerate(sorted(beads)) if b != i]
+    parts.reverse()
+    return tuple(parts)
+
+
 def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | None:
     """Reduce nu modulo n-rim-hooks for the given G(m, n).
 
@@ -74,16 +99,13 @@ def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | No
     m, n = space.m, space.n
     if len(nu) > m:
         raise BoxError(f"partition {format_partition(nu)} has more than {m} rows")
-    beta = [part + m - 1 - i for i, part in enumerate(nu + (0,) * (m - len(nu)))]
+    beta = _beta_numbers(nu, m)
     runners = [b % n for b in beta]
     if len(set(runners)) < m:
         return None
     q_power = sum(b // n for b in beta)
     passes = sum(r < s for i, r in enumerate(runners) for s in runners[i + 1:])
-    core = tuple(r - (m - 1 - i) for i, r in enumerate(sorted(runners, reverse=True)))
-    return ReductionOutcome(
-        q_power, _reduction_sign(m, q_power, passes), tuple(p for p in core if p)
-    )
+    return ReductionOutcome(q_power, _reduction_sign(m, q_power, passes), _from_beads(runners))
 
 
 class QuantumClass:
@@ -191,15 +213,50 @@ def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
     return " + ".join(pieces) or "0"
 
 
+def _lightest(lam: Partition, m: int, n: int) -> tuple[Partition, int]:
+    """The lightest class in lam's Seidel orbit, and the number of steps of
+    S (every bead b to b - 1 mod n) that reach it.  The lightest class has
+    a bead at 0, so it is S**b lam for one of lam's beads b; with the beads
+    ascending, b_0 < ... < b_(m-1), |S**(b_k) lam| - |lam| = n k - m b_k,
+    since the k beads below b_k wrap past 0 and gain n each.  A tie (only
+    when m and n share a factor) goes to the least class in tuple order,
+    then the fewest steps, so every class of an orbit picks the same one."""
+    beads = _beta_numbers(lam, m)
+    beads.reverse()
+    gains = [n * k - m * b for k, b in enumerate(beads)]
+    low = min(gains)
+    steps = [b for b, gain in zip(beads, gains) if gain == low]
+    if steps == [0]:
+        return lam, 0
+    return min((_from_beads([(b - step) % n for b in beads]), step) for step in steps)
+
+
 @lru_cache(maxsize=1 << 16)
 def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
     """s[lam] * s[mu] as {(q power, partition): nonzero coefficient}, keys
     sorted: the cached record itself, which callers read and never change.
     Callers pass lam <= mu in tuple order, so that both orders of a product
-    read this one record.  On a tall space the terms are those of s[lam'] *
-    s[mu'] on G(n - m, n), conjugated back; either way the factor of fewer
-    rows, then the lighter, is the LR content (see the module docstring)."""
+    read this one record.  Unless lam and mu are the lightest classes of
+    their Seidel orbits, the record is the one of that lightest pair, each
+    term rotated back (see the module docstring).  The lightest pair itself
+    is expanded: on a tall space as s[lam'] * s[mu'] on G(n - m, n),
+    conjugated back, and either way with the factor of fewer rows, then the
+    lighter, as the LR content."""
     _, m, n = space
+    a, i = _lightest(lam, m, n)
+    b, j = _lightest(mu, m, n)
+    pair = (a, b) if a <= b else (b, a)
+    if pair != (lam, mu):
+        total = weight(lam) + weight(mu)
+        terms = {}
+        for (_, nu), c in _product_terms(*pair, space).items():
+            p = _from_beads([(beta + i + j) % n for beta in _beta_numbers(nu, m)])
+            d, rest = divmod(total - weight(p), n)
+            if rest or d < 0:
+                raise RuntimeError(f"Seidel relabel of s[{format_partition(nu)}] gave q power "
+                                   f"{total - weight(p)}/{n}; this is a bug")
+            terms[(d, p)] = c
+        return dict(sorted(terms.items()))
     if 2 * m > n:
         short = _reduced_terms(*_content_last(conjugate(lam), conjugate(mu)),
                                Grassmannian("A", n - m, n))

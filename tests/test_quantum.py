@@ -140,12 +140,34 @@ def test_tall_products_match_the_expansion_on_the_tall_box(space):
         assert quantum_product(lam, mu, space).terms == _reduced_terms(lam, mu, space)
 
 
+def _seidel(lam, space):
+    """S(lam) as (q power, class): quantum Pieri's one term of s[n-m] * s[lam]."""
+    (term,) = quantum_pieri(space.box_cols, lam, space).terms
+    return term
+
+
+def _seidel_orbits(space):
+    """The orbits of S on the basis, walked one Pieri step at a time."""
+    orbits, seen = [], set()
+    for lam in space.basis():
+        if lam not in seen:
+            orbit, p = [], lam
+            while p not in orbit:
+                orbit.append(p)
+                p = _seidel(p, space)[1]
+            orbits.append(orbit)
+            seen.update(orbit)
+    return orbits
+
+
 @pytest.mark.parametrize("space", [G37, grassmannian(4, 7)])
 def test_each_unordered_product_is_expanded_once(space, monkeypatch):
-    # s[lam] * s[mu] and s[mu] * s[lam] are one record: from a cold cache,
-    # every ordered pair of the basis costs one LR expansion per unordered
-    # pair, whichever order comes first, and the content (schur_product's
-    # second factor, on G(3,7) for the tall G(4,7)) has the fewer rows
+    # s[lam] * s[mu] and s[mu] * s[lam] are one record, and every product is
+    # read from the product of the lightest classes of the two Seidel
+    # orbits: from a cold cache, every ordered pair of the basis costs one LR
+    # expansion per unordered pair of orbits, whichever order comes first,
+    # and the content (schur_product's second factor, on G(3,7) for the
+    # tall G(4,7)) has the fewer rows
     expansions = []
 
     def spy(lam, mu, rows):
@@ -154,7 +176,7 @@ def test_each_unordered_product_is_expanded_once(space, monkeypatch):
 
     monkeypatch.setattr(quantum, "schur_product", spy)
     basis = space.basis()
-    unordered = len(basis) * (len(basis) + 1) // 2
+    orbits = len(_seidel_orbits(space))
     found = {}
     for reverse_first in (False, True):
         clear_cache()
@@ -164,7 +186,7 @@ def test_each_unordered_product_is_expanded_once(space, monkeypatch):
             terms = quantum_product(*first, space).terms
             assert quantum_product(*second, space).terms == terms, (lam, mu)
             assert found.setdefault(frozenset((lam, mu)), terms) == terms, (lam, mu)
-        assert len(expansions) == unordered == 630
+        assert len(expansions) == orbits * (orbits + 1) // 2 == 15
         assert all(len(content) <= len(other) for other, content in expansions)
     # class products and three-point invariants read the same records
     for lam, mu in cartesian(basis, repeat=2):
@@ -173,7 +195,72 @@ def test_each_unordered_product_is_expanded_once(space, monkeypatch):
         assert product.terms == terms, (lam, mu)
         for (d, nu), c in terms.items():
             assert gw_3point(space, lam, mu, space.dual(nu), d) == c, (lam, mu, d, nu)
-    assert len(expansions) == unordered
+    assert len(expansions) == 15
+    # the point class is in the unit's orbit: its products expand nothing
+    # but the unit as content
+    clear_cache()
+    expansions.clear()
+    point = space.point_class()
+    assert quantum_product(basis[len(basis) // 2], point, space).terms
+    assert [content for _, content in expansions] == [()]
+
+
+@pytest.mark.parametrize("space", [G25, G36, G37, grassmannian(4, 7)])
+def test_product_table_is_seidel_covariant(space):
+    # S(lam) * s[mu] is S applied to each term of s[lam] * s[mu], with the
+    # q power of each term fixed by its weight; S, the rows and the orbits
+    # all come from quantum Pieri, never from the rotation of the beads
+    rows = dict(product_table(space))
+    n = space.n
+    for lam, row in rows.items():
+        _, turned = _seidel(lam, space)
+        expected = {}
+        for mu, terms in row.items():
+            expected[mu] = {}
+            for (_, nu), c in terms.items():
+                image = _seidel(nu, space)[1]
+                d, rest = divmod(weight(turned) + weight(mu) - weight(image), n)
+                assert rest == 0 and d >= 0, (lam, mu, nu)
+                expected[mu][(d, image)] = c
+        assert rows[turned] == expected, lam
+
+
+@st.composite
+def _space_and_class(draw):
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, n - 1))
+    parts = draw(st.lists(st.integers(0, n - m), max_size=m))
+    return grassmannian(m, n), tuple(p for p in sorted(parts, reverse=True) if p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_space_and_class())
+def test_lightest_class_in_closed_form_matches_n_seidel_steps(space_and_class):
+    space, lam = space_and_class
+    walk = [lam]
+    for _ in range(space.n):
+        walk.append(_seidel(walk[-1], space)[1])
+    assert walk[-1] == lam  # S**n is the identity on classes
+    _, lightest, steps = min((weight(p), p, t) for t, p in enumerate(walk[:-1]))
+    assert quantum._lightest(lam, space.m, space.n) == (lightest, steps)
+
+
+def test_a_relabel_off_by_one_step_raises(monkeypatch):
+    # one Seidel step too many moves every weight by m mod n: the grading
+    # check reports the slip rather than a product
+    lightest = quantum._lightest
+
+    def one_step_late(lam, m, n):
+        p, steps = lightest(lam, m, n)
+        return p, steps + 1
+
+    monkeypatch.setattr(quantum, "_lightest", one_step_late)
+    clear_cache()
+    try:
+        with pytest.raises(RuntimeError, match="this is a bug"):
+            quantum_product((1,), (2, 1), G25)
+    finally:
+        clear_cache()
 
 
 def test_quantum_product_validates():
