@@ -2,8 +2,9 @@
 
 Subcommands: info, basis, lr, qmul, qtable, gw, count, nd, selfcheck.
 Every command is total and exits with a defined code: 0 success, 1 failed
-selfcheck, 2 parse error or unwritable -o PATH, 3 dimension/balance
-mismatch, 4 not computable (out-of-scope query or over a work limit).
+check (selfcheck, or an internal consistency check), 2 parse error or
+unwritable -o PATH, 3 dimension/balance mismatch, 4 not computable
+(out-of-scope query or over a work limit).
 Errors print a single machine-greppable line to stderr.  Each command
 builds one result payload; the text mode renders that payload and the
 --json mode wraps it in a stable versioned document, so the two encodings
@@ -470,6 +471,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # the library's "this is a bug" guards
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -176,6 +176,29 @@ def test_negative_degree_names_the_input(capsys):
     assert (code, err) == (2, "error: degree must be >= 0, got -1\n")
 
 
+def test_an_internal_check_failure_exits_1_with_one_line(capsys, monkeypatch):
+    # one Seidel step too many trips quantum's grading guard; the command
+    # line reports it in one stderr line, with no traceback and no answer
+    from qschub import quantum
+
+    lightest = quantum._lightest
+
+    def one_step_late(lam, m, n):
+        p, steps = lightest(lam, m, n)
+        return p, steps + 1
+
+    monkeypatch.setattr(quantum, "_lightest", one_step_late)
+    quantum.clear_cache()
+    try:
+        code, out, err = run(capsys, "qmul", "G(2,5)", "1", "2,1")
+    finally:
+        quantum.clear_cache()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal check failed: Seidel relabel of s[")
+    assert err.endswith("; this is a bug\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_nd_over_the_work_limit_exits_4(capsys):
     from qschub.plane_curves import MAX_ND_DEGREE
 

@@ -1,8 +1,10 @@
+import hashlib
 import threading
 
 import pytest
 
 from qschub import plane_curves
+from qschub.cli import parse_and_dispatch
 from qschub.errors import NotComputableError
 from qschub.gromov_witten import gw_3point
 from qschub.plane_curves import MAX_ND_DEGREE, kontsevich_nd, nd_values, reset_cache
@@ -27,6 +29,15 @@ def test_matches_the_per_term_recursion():
     reset_cache()
     for d, value in nd_values(150):
         assert value == nd_oracle(d), d
+
+
+def test_every_value_up_to_the_bound_is_pinned(capsys):
+    # the sha256 of `nd --upto 500`'s stdout, as Kontsevich's three-binomial
+    # form computes it: any slip in the one-binomial sum changes the digest
+    assert parse_and_dispatch(["nd", "--upto", "500"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7fc2e698aa0b40d826d072c824710c50d8e1f0ee01f0313c8b513e12420fd714")
 
 
 def test_rejects_nonpositive_degree():
