@@ -411,6 +411,8 @@ def render_text(command: str, payload: dict) -> list[str]:
 def _output(path: str | None):
     """The -o file, opened for writing, or stdout."""
     if path is None:
+        if sys.stdout is None:  # started with fd 1 closed
+            raise OSError("standard output is closed")
         yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as out:

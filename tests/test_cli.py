@@ -133,6 +133,18 @@ def run_child(env, *argv):
     )
 
 
+def test_closed_stdout_exits_2_with_one_line(child_env):
+    # started as `qschub nd 5 >&-`: sys.stdout is None, and the write fails
+    # like a broken pipe, not with an AttributeError traceback
+    launcher = ("import os, sys; os.close(1); "
+                "os.execv(sys.executable, [sys.executable, '-m', 'qschub', 'nd', '5'])")
+    proc = subprocess.run([sys.executable, "-c", launcher], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=child_env, timeout=10)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: standard output is closed\n"
+
+
 def test_info_basis_size_of_a_large_space(child_env):
     proc = run_child(child_env, "info", "G(40,80)", "--json")
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,9 @@
+import functools
 import hashlib
+import os
+import select
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -11,6 +16,10 @@ from qschub.plane_curves import MAX_ND_DEGREE, kontsevich_nd, nd_values, reset_c
 from qschub.spaces import grassmannian
 
 from oracles import nd_oracle
+
+# Under `python -X dev -W error::ResourceWarning`, a helper's pipe left
+# unclosed raises in its finalizer; this turns that into a failure here.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
 
 def test_first_values():
@@ -100,3 +109,169 @@ def test_threads_extending_the_memo_at_once_agree():
             thread.join()
         assert results == [expected] * 4
         assert len(plane_curves._table) == 151
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_values(d):
+    """(d, N_d) up to d, summed in this process alone."""
+    saved = plane_curves.HELPER_FROM
+    plane_curves.HELPER_FROM = MAX_ND_DEGREE + 1
+    try:
+        reset_cache()
+        return tuple(nd_values(d))
+    finally:
+        plane_curves.HELPER_FROM = saved
+        reset_cache()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helper_sums(monkeypatch):
+    """Start the helper for any degree, as on a two-CPU machine, and wait for
+    its ready byte before the first degree, so that it sums from degree 2.
+    Yields the list of what each of the parent's reads returned."""
+    monkeypatch.setattr(plane_curves, "HELPER_FROM", 2)
+    monkeypatch.setattr(plane_curves, "_usable_cpus", lambda: 2)
+    split, partial = plane_curves._Helper.split, plane_curves._Helper.partial
+    sums = []
+
+    def split_once_ready(self, e):
+        if self._proc is not None and not self._joined:
+            select.select([self._proc.stdout], [], [], 60)
+        return split(self, e)
+
+    def recorded_partial(self):
+        sums.append(partial(self))
+        return sums[-1]
+
+    monkeypatch.setattr(plane_curves._Helper, "split", split_once_ready)
+    monkeypatch.setattr(plane_curves._Helper, "partial", recorded_partial)
+    reset_cache()
+    yield sums
+    reset_cache()
+
+
+def test_helper_and_serial_tables_agree(helper_sums):
+    serial = _serial_values(320)
+    assert nd_values(320) == list(serial)
+    assert len(helper_sums) == 319 and None not in helper_sums  # degrees 2..320
+    _assert_no_child_left()
+
+
+def test_helper_that_cannot_start_changes_nothing(helper_sums, monkeypatch, capfd):
+    def refuse(*args, **kwargs):
+        raise OSError("cannot start a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    assert nd_values(260) == list(_serial_values(260))
+    assert helper_sums == []
+    assert capfd.readouterr() == ("", "")
+
+
+# Each runs the helper with one change, made in the helper before its loop:
+# it exits at its fourth sum, or writes that sum's frame short and exits.
+_FAILING_HELPERS = {
+    "exits": """
+real = plane_curves._pair_sum
+def _pair_sum(*args, calls=[]):
+    calls.append(1)
+    if len(calls) == 4:
+        os._exit(0)
+    return real(*args)
+plane_curves._pair_sum = _pair_sum
+""",
+    "short frame": """
+real = plane_curves._frame
+def _frame(x, calls=[]):
+    calls.append(1)
+    if len(calls) == 4:
+        sys.stdout.buffer.write(real(x)[:-1])
+        sys.stdout.flush()
+        os._exit(0)
+    return real(x)
+plane_curves._frame = _frame
+""",
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILING_HELPERS))
+def test_helper_that_fails_midway_changes_nothing(helper_sums, monkeypatch, capfd, failure):
+    bootstrap = ("import os, sys\nsys.path.insert(0, sys.argv[1])\nfrom qschub import plane_curves\n"
+                 + _FAILING_HELPERS[failure]
+                 + "plane_curves._serve(int(sys.argv[2]), float(sys.argv[3]))\n")
+    monkeypatch.setattr(plane_curves, "_BOOTSTRAP", bootstrap)
+    assert nd_values(260) == list(_serial_values(260))
+    assert helper_sums[-1] is None and None not in helper_sums[:-1] and len(helper_sums) == 4
+    assert capfd.readouterr() == ("", "")
+    _assert_no_child_left()
+
+
+def test_no_helper_outlives_an_exception(helper_sums, monkeypatch):
+    pair_sum = plane_curves._pair_sum
+
+    def failing(table, e, lo, hi):
+        if e == 200:
+            raise KeyboardInterrupt
+        return pair_sum(table, e, lo, hi)
+
+    monkeypatch.setattr(plane_curves, "_pair_sum", failing)
+    with pytest.raises(KeyboardInterrupt):
+        kontsevich_nd(300)
+    assert len(plane_curves._table) == 200
+    _assert_no_child_left()
+
+
+def test_a_wrong_pair_sum_stops_before_the_table(monkeypatch, capsys):
+    # one partial sum off by one leaves a remainder: exit 1, one line, and
+    # the table keeps only the degrees below it
+    pair_sum = plane_curves._pair_sum
+
+    def off_by_one(table, e, lo, hi):
+        return pair_sum(table, e, lo, hi) + (e == 280)
+
+    monkeypatch.setattr(plane_curves, "_pair_sum", off_by_one)
+    reset_cache()
+    assert parse_and_dispatch(["nd", "--upto", "300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: N_280") and err.count("\n") == 1
+    assert len(plane_curves._table) == 280
+    _assert_no_child_left()
+    reset_cache()
+
+
+def test_threads_past_the_threshold_start_one_helper(monkeypatch):
+    monkeypatch.setattr(plane_curves, "_usable_cpus", lambda: 2)
+    popen, started = subprocess.Popen, []
+
+    def counted(*args, **kwargs):
+        started.append(1)
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", counted)
+    expected = _serial_values(300)[-1][1]
+    reset_cache()
+    start = threading.Barrier(4, timeout=60)
+    results = []
+
+    def worker():
+        start.wait()
+        results.append(kontsevich_nd(300))
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that they race for the lock
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+    assert started == [1]
+    _assert_no_child_left()

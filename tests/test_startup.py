@@ -1,11 +1,12 @@
 """What importing the command line loads.  Each query is one process, so
 start-up is most of its cost: the import graph holds only what every
-command uses, and json and selfcheck load in the commands that use them."""
+command uses: json and selfcheck load in the commands that use them, and
+subprocess only when an N_d large enough for the helper process is computed."""
 
 import subprocess
 import sys
 
-NOT_AT_START = ("dataclasses", "inspect", "typing", "json", "random", "qschub.selfcheck")
+NOT_AT_START = ("dataclasses", "inspect", "typing", "json", "random", "subprocess", "qschub.selfcheck")
 
 PROBE = f"""
 import sys
