@@ -36,11 +36,14 @@ def rational_curve_count(problem: CountProblem) -> CountResult:
     """Solve a CountProblem: evaluate the invariant and divide by d^r where
     r counts the codimension-one conditions.  The division is exact; a
     remainder would be an implementation bug and raises RuntimeError."""
-    if problem.degree < 1:
+    space, d, conditions = problem
+    if d < 1:
         raise ValueError("curve counting needs degree >= 1")
-    value = gw_spoint(problem.as_query())
-    r = problem.conditions.count(DIVISOR)  # s[1] is the one class of weight 1
-    scale = problem.degree**r
+    value = gw_spoint(GWQuery(space, d, conditions))
+    r = conditions.count(DIVISOR)  # s[1] is the one class of weight 1
+    if d == 1 or not r:  # d**r is 1
+        return CountResult(value, r, value)
+    scale = d**r
     if value % scale:
         raise RuntimeError(
             f"invariant {value} is not divisible by d^r = {scale}; this is a bug"

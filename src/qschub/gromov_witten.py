@@ -13,11 +13,11 @@ are all point classes is the number N_d of degree-d rational plane curves.
 from collections import namedtuple
 
 from .errors import NotComputableError, UnbalancedQueryError
-from .partitions import Partition, box_complement, weight
+from .partitions import Partition, box_complement
 from .plane_curves import kontsevich_nd
 # quantum_product is unused here; perfbench/tracer.py wraps it until ROADMAP Direction 1
 from .quantum import _product_terms, quantum_product
-from .spaces import Grassmannian, grassmannian, require_type_a
+from .spaces import Grassmannian, grassmannian
 
 DIVISOR: Partition = (1,)
 POINT_P2: Partition = (2,)
@@ -46,8 +46,7 @@ def gw_3point(
     so this doubles as a plain coefficient extractor; otherwise it is the
     coefficient of q^d s[dual(third)] in the product of the first two.
     """
-    for p in (first, second, third):
-        space.require_in_box(p)
+    space.require_in_box(first, second, third)
     if not GWQuery(space, d, (first, second, third)).is_balanced():
         return 0
     return _structure_constant(space, first, second, third, d)
@@ -63,19 +62,20 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
     def __new__(cls, space: Grassmannian, degree: int, insertions: tuple[Partition, ...]):
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        return super().__new__(cls, space, degree, insertions)
+        return tuple.__new__(cls, (space, degree, insertions))  # as the named tuple's own __new__
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)  # so _replace checks its fields too
 
     def total_codim(self) -> int:
-        return sum(map(weight, self.insertions))
+        return sum(map(sum, self.insertions))  # a class's codimension is its weight, sum(p)
 
     def is_balanced(self) -> bool:
-        return self.total_codim() == self.space.moduli_dimension(
-            len(self.insertions), self.degree
-        )
+        """The one balance rule: the codimensions, summed in one pass, equal
+        moduli_dimension, called once."""
+        space, d, insertions = self
+        return sum(map(sum, insertions)) == space.moduli_dimension(len(insertions), d)
 
     def require_balanced(self) -> None:
         """Raise UnbalancedQueryError unless is_balanced()."""
@@ -90,12 +90,15 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
 def gw_spoint(query: GWQuery) -> int:
     """Evaluate an s-point invariant of any degree d >= 0.
 
-    The family, each insertion's box and the balance are checked once.  At
-    d = 0, fewer than three insertions raise NotComputableError (before the
-    balance check), three give the triple product and more give 0.  At
-    d >= 1, a fundamental class gives 0; each s[1] is stripped for a factor
-    d; three or fewer classes left give a quantum structure constant (padded
-    back with s[1], dividing by d per pad, always exactly); more are
+    The family and every insertion's box are checked in one call, and the
+    balance once.  The box check cannot be left to the product record, as
+    quantum_product leaves it: the dual class and the N_d route never reach
+    a record.  At d = 0, fewer than three insertions raise
+    NotComputableError (before the balance check), three give the triple
+    product and more give 0.  At d >= 1, a fundamental class gives 0; each
+    s[1] is stripped for a factor d; three or fewer classes left give a
+    quantum structure constant (padded back with s[1], dividing by d per
+    pad, always exactly, and with no power of d computed at d = 1); more are
     computed only as the plane count N_d: all point classes on G(1,3).
 
     The three-point reads skip gw_3point's balance test: with s
@@ -104,11 +107,9 @@ def gw_spoint(query: GWQuery) -> int:
     which is moduli_dimension(3, d), on every route (k = pad = 0 at d = 0).
     """
     space, d, insertions = query
-    require_type_a(space)
+    space.require_in_box(*insertions)  # the family first, even with no insertions
     if not insertions:
         raise ValueError("at least one insertion is required")
-    for p in insertions:
-        space.require_in_box(p)
     if d == 0 and len(insertions) < 3:
         raise NotComputableError("degree-0 invariants are computed for at least 3 insertions")
     query.require_balanced()
@@ -121,12 +122,18 @@ def gw_spoint(query: GWQuery) -> int:
         return 0
     rest = [p for p in insertions if p != DIVISOR]
     stripped = len(insertions) - len(rest)
-    if len(rest) <= 3:
-        pad = 3 - len(rest)
-        value = d**stripped * _structure_constant(space, *rest, *[DIVISOR] * pad, d)
-        if value % d**pad:
-            raise RuntimeError("divisor stripping produced a non-integral value; this is a bug")
-        return value // d**pad
+    pad = 3 - len(rest)
+    if pad >= 0:
+        value = _structure_constant(space, *rest, *(DIVISOR,) * pad, d)
+        if d == 1:  # every factor d**k is 1
+            return value
+        if stripped:
+            value *= d**stripped
+        if pad:
+            value, remainder = divmod(value, d**pad)
+            if remainder:
+                raise RuntimeError("divisor stripping produced a non-integral value; this is a bug")
+        return value
     if space == _P2 and all(p == POINT_P2 for p in rest):
         return d**stripped * kontsevich_nd(d)
     raise NotComputableError(

@@ -82,6 +82,5 @@ def classical_structure_constants(
 ) -> LRExpansion:
     """schur_product restricted to the Schubert basis of the space: only
     partitions inside the m x (n-m) box survive."""
-    space.require_in_box(lam)
-    space.require_in_box(mu)
+    space.require_in_box(lam, mu)
     return _lr_expand(lam, mu, (space.box_cols,) * space.m)

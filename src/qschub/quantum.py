@@ -42,13 +42,24 @@ s[lam] are one cached record, keyed on the pair in tuple order; every reader
 puts its pair in that order first.  The expansion grows one letter per row
 of its content, the second factor of schur_product, so the factor of fewer
 rows (after the conjugation), then the lighter, is the content.
+
+A pair is box-checked where its record is built, in _product_terms, and
+nowhere else on the product path.  Whether a class fits the box depends only
+on the class and the space, both part of the cache key, so every cached key
+is in the box: a warm quantum_product or class product makes no check at
+all, and a pair out of the box never gets a record, so it raises on every
+call, warm or cold.  On that raise, quantum_product and QuantumClass.__mul__
+check their classes again in their own order, so that the error names the
+same class whichever pair was read first.  Invariants check all their
+classes in one call (gromov_witten.gw_spoint), since the dual class and the
+N_d route never reach a record.
 """
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .errors import BoxError
+from .errors import BoxError, UnsupportedFamilyError
 from .lr import schur_product
 from .partitions import (
     Partition, conjugate, format_partition, is_horizontal_strip, partitions_of_weight, weight
@@ -111,7 +122,10 @@ def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | No
 class QuantumClass:
     """An element of the quantum cohomology ring: an integer combination of
     pairs (q_power, partition in the box).  Zero coefficients are never
-    stored.  Classes compare by space and terms, and are not hashable."""
+    stored.  Classes compare by space and terms, and are not hashable.
+    Slotted: a class holds its space and its terms dict, nothing else."""
+
+    __slots__ = ("space", "terms")
 
     def __init__(self, space: Grassmannian, terms: dict[tuple[int, Partition], int] | None = None):
         self.space = space
@@ -163,10 +177,15 @@ class QuantumClass:
         return QuantumClass(self.space, merged)
 
     def __mul__(self, other):
-        """The product with an integer or with another class.  Each term is
-        box-checked once, the left factor's then the right's, then each pair
-        reads the Schubert product _product_terms caches, in tuple order,
-        with no QuantumClass built per pair."""
+        """The product with an integer or with another class.  Each pair of
+        terms reads the Schubert product _product_terms caches, in tuple
+        order, with no QuantumClass built per pair.  A term out of the box
+        raises where its record would be built (a cached record is always
+        of classes in the box); the terms are then checked in order, the
+        left factor's then the right's, so the error names the first of
+        them out of the box.  A pair with no q shift adds the record's own
+        keys, the first pair (scale 1, no shift) is copied whole, and zeros
+        are dropped only if some sum reached 0."""
         if isinstance(other, int):
             return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
         if not isinstance(other, QuantumClass):
@@ -174,18 +193,33 @@ class QuantumClass:
         space = self.space
         if space != other.space:
             raise ValueError("cannot multiply classes on different spaces")
-        if self.terms and other.terms:
-            for _, p in (*self.terms, *other.terms):
-                space.require_in_box(p)
         out: dict[tuple[int, Partition], int] = {}
-        for (d1, p1), c1 in self.terms.items():
-            for (d2, p2), c2 in other.terms.items():
-                shift, scale = d1 + d2, c1 * c2
-                terms = _product_terms(p1, p2, space) if p1 <= p2 else _product_terms(p2, p1, space)
-                for (d, p), c in terms.items():
-                    key = (d + shift, p)
-                    out[key] = out.get(key, 0) + scale * c
-        return QuantumClass(space, out)
+        cancelled = False
+        try:
+            for (d1, p1), c1 in self.terms.items():
+                for (d2, p2), c2 in other.terms.items():
+                    shift, scale = d1 + d2, c1 * c2
+                    record = (_product_terms(p1, p2, space) if p1 <= p2
+                              else _product_terms(p2, p1, space))
+                    if shift:
+                        for (d, p), c in record.items():
+                            key = (d + shift, p)
+                            total = out[key] = out.get(key, 0) + scale * c
+                            if not total:
+                                cancelled = True
+                    elif scale == 1 and not out:
+                        out.update(record)
+                    else:
+                        for key, c in record.items():
+                            total = out[key] = out.get(key, 0) + scale * c
+                            if not total:
+                                cancelled = True
+        except (BoxError, UnsupportedFamilyError):
+            space.require_in_box(*[p for _, p in self.terms], *[p for _, p in other.terms])
+            raise
+        if cancelled:
+            out = {key: c for key, c in out.items() if c}
+        return QuantumClass._nonzero(space, out)
 
     __rmul__ = __mul__
 
@@ -236,12 +270,17 @@ def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
     """s[lam] * s[mu] as {(q power, partition): nonzero coefficient}, keys
     sorted: the cached record itself, which callers read and never change.
     Callers pass lam <= mu in tuple order, so that both orders of a product
-    read this one record.  Unless lam and mu are the lightest classes of
-    their Seidel orbits, the record is the one of that lightest pair, each
-    term rotated back (see the module docstring).  The lightest pair itself
-    is expanded: on a tall space as s[lam'] * s[mu'] on G(n - m, n),
-    conjugated back, and either way with the factor of fewer rows, then the
-    lighter, as the LR content."""
+    read this one record.  This is the one place a record is built, and the
+    pair is box-checked here, before anything else: the check depends only
+    on the pair and the space, both in the cache key, so every cached key is
+    in the box and a hit needs no check, while a pair out of the box never
+    gets a record and raises on every call.  Unless lam and mu are the
+    lightest classes of their Seidel orbits, the record is the one of that
+    lightest pair, each term rotated back (see the module docstring).  The
+    lightest pair itself is expanded: on a tall space as s[lam'] * s[mu'] on
+    G(n - m, n), conjugated back, and either way with the factor of fewer
+    rows, then the lighter, as the LR content."""
+    space.require_in_box(lam, mu)
     _, m, n = space
     a, i = _lightest(lam, m, n)
     b, j = _lightest(mu, m, n)
@@ -290,10 +329,15 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     of the classical expansion.  All surviving coefficients are genus-zero
     three-point Gromov-Witten invariants, hence positive.  For a whole
     multiplication table use product_table, the Pieri path that checks
-    this one."""
-    space.require_in_box(lam)
-    space.require_in_box(mu)
-    terms = _product_terms(lam, mu, space) if lam <= mu else _product_terms(mu, lam, space)
+    this one.  The pair is box-checked where its record is built, so a
+    warm product checks nothing; on a failed check lam and mu are checked
+    in that order, so that the error names lam when both are out of the
+    box."""
+    try:
+        terms = _product_terms(lam, mu, space) if lam <= mu else _product_terms(mu, lam, space)
+    except (BoxError, UnsupportedFamilyError):
+        space.require_in_box(lam, mu)
+        raise
     return QuantumClass._nonzero(space, dict(terms))
 
 

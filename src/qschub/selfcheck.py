@@ -22,10 +22,15 @@ spaces removes no rim hook with q > 0, so positivity reads the reduction of
 the pair itself, quantum._reduced_terms, and dual_path compares it with the
 product and with the Pieri row: a slip in the rim-hook sign or in the
 Seidel relabel fails here.
-`quick` covers G(2,4) and G(1,3) exhaustively.  `full` adds G(2,5) and
-G(3,6) sweeps, 500 associativity triples on each of G(2,5), G(3,6), G(2,6),
-rim-hook orders on G(3,6), and the divisor rule on G(2,4), G(2,5), G(1,3)
-for d <= 3 with 1-5 conditions.
+plane_counts compares every N_d with Kontsevich's recursion as he wrote it,
+over ordered splits with two binomials, modulo the prime 2^61 - 1: a path
+that shares no code with plane_curves' one-binomial pair sum, so a pair that
+is lost or summed twice (which still divides exactly) fails here.
+`quick` covers G(2,4) and G(1,3) exhaustively, and N_1..N_4 by value.
+`full` adds G(2,5) and G(3,6) sweeps, 500 associativity triples on each of
+G(2,5), G(3,6), G(2,6), rim-hook orders on G(3,6), the divisor rule on
+G(2,4), G(2,5), G(1,3) for d <= 3 with 1-5 conditions, and N_d to
+MAX_ND_DEGREE (500).
 A broken build (wrong rim-hook sign, wrong Pieri chain) must fail here.
 """
 
@@ -38,7 +43,7 @@ from .errors import NotComputableError
 from .gromov_witten import GWQuery, gw_3point, gw_spoint
 from .lr import classical_structure_constants
 from .partitions import partitions_of_weight, weight
-from .plane_curves import kontsevich_nd
+from .plane_curves import MAX_ND_DEGREE, kontsevich_nd
 from .quantum import (
     QuantumClass, product_table, quantum_pieri, quantum_product, rim_hook_reduce
 )
@@ -49,6 +54,9 @@ FULL_EXTRA_SPACES = (grassmannian(2, 5), grassmannian(3, 6))
 FULL_DIVISOR_SPACES = (grassmannian(2, 4), grassmannian(2, 5), grassmannian(1, 3))
 
 _RANDOM_TRIPLES = 500
+# full's plane_counts compares every N_d up to MAX_ND_DEGREE with a
+# recursion mod this prime that shares no code with plane_curves
+ND_PRIME = 2**61 - 1
 _SEED = 20240811
 
 
@@ -238,12 +246,48 @@ def check_divisor_rule(spaces, max_degree: int = 2, sizes=(2, 3)) -> SuiteResult
     return res
 
 
-def check_plane_counts() -> SuiteResult:
+def _nd_mod_p(up_to: int) -> list[int]:
+    """N_d mod ND_PRIME at index d = 1..up_to (index 0 unused), by
+    Kontsevich's recursion as he wrote it: over every ordered split
+    a + b = d, N_a N_b a^2 b (b C(3d-4, 3a-2) - a C(3d-4, 3a-1)), the
+    binomials from factorial tables mod the prime.  It shares no code with
+    plane_curves, whose sum pairs a with d - a under one binomial."""
+    p = ND_PRIME
+    top = max(3 * up_to - 4, 1)
+    fact = [1] * (top + 1)
+    for k in range(1, top + 1):
+        fact[k] = fact[k - 1] * k % p
+    inverse = [1] * (top + 1)  # inverse[k] = 1 / k! mod p
+    inverse[top] = pow(fact[top], p - 2, p)
+    for k in range(top, 1, -1):
+        inverse[k - 1] = inverse[k] * k % p
+    nd = [0, 1]
+    for d in range(2, up_to + 1):
+        n = 3 * d - 4
+        total = 0
+        for a in range(1, d):
+            b = d - a
+            c2 = fact[n] * inverse[3 * a - 2] % p * inverse[n - 3 * a + 2] % p  # C(n, 3a-2)
+            c1 = fact[n] * inverse[3 * a - 1] % p * inverse[n - 3 * a + 1] % p  # C(n, 3a-1)
+            total += nd[a] * nd[b] % p * (a * a * b) * (b * c2 - a * c1)
+        nd.append(total % p)
+    return nd
+
+
+def check_plane_counts(up_to: int = 0) -> SuiteResult:
+    """The first values of N_d, the degree 1 and 2 invariants they must
+    equal, and every N_d up to `up_to` (none by default) against
+    _nd_mod_p."""
     res = SuiteResult("plane_counts")
     res.expect(kontsevich_nd(1) == 1, "N_1 != 1")
     res.expect(kontsevich_nd(2) == 1, "N_2 != 1")
     res.expect(kontsevich_nd(3) == 12, "N_3 != 12")
     res.expect(kontsevich_nd(4) == 620, "N_4 != 620")
+    if up_to:
+        kontsevich_nd(up_to)  # one call, so that a large table is extended at once
+        for d, residue in enumerate(_nd_mod_p(up_to)[1:], 1):
+            res.expect(kontsevich_nd(d) % ND_PRIME == residue,
+                       f"N_{d} differs from Kontsevich's recursion mod 2^61 - 1")
     plane = grassmannian(1, 3)
     res.expect(
         gw_3point(plane, (2,), (2,), (1,), 1) == kontsevich_nd(1),
@@ -280,5 +324,5 @@ def run_selfcheck(level: str = "quick") -> list[SuiteResult]:
         pairing,
         gw_symmetry,
         check_divisor_rule(*divisor_range),
-        check_plane_counts(),
+        check_plane_counts(MAX_ND_DEGREE if full else 0),
     ]

@@ -99,8 +99,13 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
 
     def moduli_dimension(self, s: int, d: int) -> int:
         """Dimension of the moduli space of genus-zero degree-d stable maps
-        with s marked points: dim X + s - 3 + d * deg c1(X)."""
-        return self.dimension() + s - 3 + d * self.c1_degree()
+        with s marked points: dim X + s - 3 + d * deg c1(X).  Every balance
+        check calls it, so it reads dim X = m(n - m) and deg c1(X) = n off
+        the fields instead of calling dimension() and c1_degree()."""
+        family, m, n = self
+        if family != "A":
+            self.dimension()  # raises UnsupportedFamilyError, naming the space
+        return m * (n - m) + s - 3 + d * n
 
     def critical_degree(self) -> int:
         """Smallest degree for which two general points lie on a rational
@@ -133,20 +138,26 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
     def in_box(self, p: Partition) -> bool:
         return fits_in_box(p, self.m, self.box_cols)
 
-    def require_in_box(self, p: Partition) -> None:
-        """Raise BoxError unless p indexes a Schubert class of the space
-        (UnsupportedFamilyError first on an isotropic space).  Every product
-        and invariant makes this check per class, so it unpacks the fields
-        once and inlines fits_in_box's test, with no call at all; a test
-        pins it to in_box on and past the edges of a box."""
+    def require_in_box(self, *classes: Partition) -> None:
+        """Raise BoxError unless every one of `classes` indexes a Schubert
+        class of the space, naming the first that does not
+        (UnsupportedFamilyError first on an isotropic space).  A query
+        passes all its classes in one call.  Products make this check where
+        their record is built (quantum._product_terms), so every cached
+        record is of classes in the box; invariants make it once per query.
+        It unpacks the fields once and inlines fits_in_box's test, with no
+        call per class; a test pins it to in_box on and past the edges of a
+        box."""
         family, m, n = self
         if family != "A":
             raise UnsupportedFamilyError(_ISOTROPIC_MSG)
-        if len(p) > m or (p and p[0] > n - m):
-            raise BoxError(
-                f"partition {format_partition(p)} does not fit the "
-                f"{m}x{n - m} box of {self.notation}"
-            )
+        cols = n - m
+        for p in classes:
+            if len(p) > m or (p and p[0] > cols):
+                raise BoxError(
+                    f"partition {format_partition(p)} does not fit the "
+                    f"{m}x{cols} box of {self.notation}"
+                )
 
     def basis(self) -> list[Partition]:
         """Schubert basis indices in deterministic order."""
@@ -192,7 +203,8 @@ def grassmannian(m: int, n: int) -> Grassmannian:
     return Grassmannian("A", m, n)
 
 
-_SPACE_RE = re.compile(r"^(G|IG|OG)\((\d+),(\d+)\)$")
+# ASCII digits only: \d would also take other scripts' digits, which int() reads
+_SPACE_RE = re.compile(r"^(G|IG|OG)\(([0-9]+),([0-9]+)\)$")
 
 
 def parse_space(text: str) -> Grassmannian:

@@ -721,3 +721,23 @@ def test_every_argv_exits_with_a_defined_code_and_one_error_line(argv, as_json):
     assert len(err.getvalue().splitlines()) <= 1, argv
     if code in {2, 3, 4}:
         assert out.getvalue() == "", argv
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("lr", "1_0", "1", "1_1"), "error: bad partition syntax: '1_0'\n"),
+    (("qmul", "G(2,4)", "1_0", "1"), "error: bad partition syntax: '1_0'\n"),
+    (("qmul", "G(2,4)", "١", "1"), "error: bad partition syntax: '١'\n"),
+    (("qmul", "G(2,4)", "1,２", "1"), "error: bad partition syntax: '1,２'\n"),
+    (("qmul", "G(2,4)", "+1", "1"), "error: bad partition syntax: '+1'\n"),
+    (("gw", "G(2,4)", "-d", "1", "2,2", "1,1", "٢"), "error: bad partition syntax: '٢'\n"),
+    (("qmul", "G(٢,٤)", "1", "1"), "error: bad space syntax: 'G(٢,٤)'\n"),
+    (("qtable", "G(2,４)"), "error: bad space syntax: 'G(2,４)'\n"),
+])
+def test_partition_and_space_text_take_ascii_digits_only(capsys, argv, err):
+    # int() alone reads "1_0" as 10, "+1" as 1 and other scripts' digits as
+    # digits; each is a syntax error, exit 2 with one line
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_partition_pieces_may_be_padded_with_spaces(capsys):
+    assert run(capsys, "qmul", "G(2,4)", " 1 , 1 ", "1") == (0, "s[2,1]\n", "")

@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from qschub.errors import (
 from qschub.gromov_witten import GWQuery, gw_3point, gw_spoint
 from qschub.partitions import weight
 from qschub.plane_curves import kontsevich_nd
-from qschub import partitions, spaces
+from qschub import partitions, quantum, spaces
 from qschub.quantum import QuantumClass, product_table, quantum_product
 from qschub.spaces import Grassmannian, grassmannian, parse_space
 
@@ -107,14 +107,15 @@ def test_spoint_validates():
 
 
 def test_one_box_check_per_insertion(monkeypatch):
-    # gw_spoint checks each insertion; its three-point route reads the
-    # product cache and flips the dual without checking the classes again
+    # gw_spoint checks each insertion once, all in one call; its three-point
+    # route reads the product cache and flips the dual without checking the
+    # classes again.  The spy records every class of every call.
     calls = []
     real = Grassmannian.require_in_box
 
-    def counted(space, p):
-        calls.append(p)
-        real(space, p)
+    def counted(space, *classes):
+        calls.extend(classes)
+        real(space, *classes)
 
     def unreachable(*args):
         raise AssertionError("a second box check through dual_in_box")
@@ -128,24 +129,87 @@ def test_one_box_check_per_insertion(monkeypatch):
                   GWQuery(G24, 0, three), GWQuery(G24, 1, ((2, 2), (2, 1))),
                   GWQuery(P2, 2, ((2,),) * 5)):
         assert query.is_balanced()
+        gw_spoint(query)  # warm: the product record, if any, is cached
         calls.clear()
         gw_spoint(query)
         assert len(calls) == len(query.insertions), query
+    problem = CountProblem(G24, 1, five)
+    rational_curve_count(problem)
     calls.clear()
-    assert rational_curve_count(CountProblem(G24, 1, five)).curve_count == 1
+    assert rational_curve_count(problem).curve_count == 1
     assert len(calls) == 5
+    gw_3point(G24, (2, 2), (1, 1), (2,), 1)
     calls.clear()
     gw_3point(G24, (2, 2), (1, 1), (2,), 1)
     assert len(calls) == 3
-    # a warm product checks its two classes; a class product each term of each factor
-    quantum_product((2, 1), (1,), G24)
+    # a warm product checks nothing; a cold one checks its pair once, where
+    # the record is built ((1,) is the lightest class of its Seidel orbit,
+    # so the record is expanded, not rotated from another pair's)
+    quantum.clear_cache()
     calls.clear()
+    quantum_product((1,), (1,), G24)
+    assert calls == [(1,), (1,)]
+    calls.clear()
+    quantum_product((1,), (1,), G24)
+    assert calls == []
     left = quantum_product((2, 1), (1,), G24)
-    assert calls == [(2, 1), (1,)]
+    calls.clear()
+    assert quantum_product((1,), (2, 1), G24) == left
+    assert calls == []
+    # a class product of warm records checks no term
     right = QuantumClass(G24, {(0, (1,)): 2, (0, (2,)): 1, (1, ()): -1})
+    left * right
     calls.clear()
     left * right
-    assert sorted(calls) == sorted([p for _, p in left.terms] + [p for _, p in right.terms])
+    assert calls == []
+
+
+_G25 = grassmannian(2, 5)
+_WIDE, _TALL = (4,), (1, 1, 1)  # out of G(2,5)'s 2x3 box
+_MESSAGES = {_WIDE: "partition 4 does not fit the 2x3 box of G(2,5)",
+             _TALL: "partition 1,1,1 does not fit the 2x3 box of G(2,5)"}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_an_out_of_box_class_raises_at_each_position_of_an_invariant(warm):
+    # every insertion is checked in one call before any record is read, the
+    # dual class (third) and the N_d route included, so the first class out
+    # of the box is named whatever the cache holds, and nothing is cached
+    cases = [
+        (lambda: gw_3point(_G25, _WIDE, (2, 1), (2, 1), 1), _WIDE),
+        (lambda: gw_3point(_G25, (2, 1), _TALL, (2, 1), 1), _TALL),
+        (lambda: gw_3point(_G25, (2, 1), (2, 1), _WIDE, 1), _WIDE),
+        (lambda: gw_3point(_G25, (1,), _TALL, _WIDE, 0), _TALL),
+        (lambda: gw_spoint(GWQuery(_G25, 1, ((3, 3), (2,), _WIDE))), _WIDE),
+        (lambda: gw_spoint(GWQuery(_G25, 1, (_TALL, (1,), (1,), (3, 3), _WIDE))), _TALL),
+        (lambda: gw_spoint(GWQuery(_G25, 2, ((3, 3),) * 3 + (_WIDE,))), _WIDE),
+        (lambda: rational_curve_count(CountProblem(_G25, 1, ((1,), (3, 3), _TALL))), _TALL),
+        (lambda: rational_curve_count(CountProblem(_G25, 2, ((3, 2), _WIDE, (1,)))), _WIDE),
+    ]
+    for call, named in cases:
+        quantum.clear_cache()
+        if warm:
+            for lam, mu in combinations_with_replacement(_G25.basis(), 2):
+                quantum_product(lam, mu, _G25)
+        size = quantum._product_terms.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(BoxError) as err:
+                call()
+            assert str(err.value) == _MESSAGES[named]
+            assert quantum._product_terms.cache_info().currsize == size
+
+
+def test_an_isotropic_invariant_raises_unsupported_family_first():
+    space = parse_space("IG(2,6)")
+    size = quantum._product_terms.cache_info().currsize
+    for call in (lambda: gw_3point(space, (9, 9), (1,), (1,), 1),
+                 lambda: gw_spoint(GWQuery(space, 1, ((1, 1, 1), (1,), (1,)))),
+                 lambda: gw_spoint(GWQuery(space, 1, ())),
+                 lambda: rational_curve_count(CountProblem(space, 1, ((9,), (1,), (1,))))):
+        with pytest.raises(UnsupportedFamilyError) as err:
+            call()
+        assert str(err.value) == "isotropic quantum products out of scope"
+    assert quantum._product_terms.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("space", [G24, grassmannian(2, 5), grassmannian(3, 6)])

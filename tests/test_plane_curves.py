@@ -13,6 +13,7 @@ from qschub.cli import parse_and_dispatch
 from qschub.errors import NotComputableError
 from qschub.gromov_witten import gw_3point
 from qschub.plane_curves import MAX_ND_DEGREE, kontsevich_nd, nd_values, reset_cache
+from qschub.selfcheck import check_plane_counts
 from qschub.spaces import grassmannian
 
 from oracles import nd_oracle
@@ -275,3 +276,42 @@ def test_threads_past_the_threshold_start_one_helper(monkeypatch):
     assert results == [expected] * 4
     assert started == [1]
     _assert_no_child_left()
+
+
+def test_helper_values_match_kontsevichs_recursion_mod_p(helper_sums):
+    # the recursion mod 2^61 - 1 shares no code with the pair sums
+    suite = check_plane_counts(300)
+    assert suite.ok, suite.failures[:3]
+    assert len(helper_sums) == 299 and None not in helper_sums  # degrees 2..300
+    _assert_no_child_left()
+
+
+def test_plane_counts_fails_when_the_parent_splits_unlike_the_helper(helper_sums, monkeypatch):
+    # the parent sums a < A_e at a smaller share than the helper's, so the
+    # pairs between are lost; every lost pair divides exactly, so only the
+    # independent recursion sees it
+    split = plane_curves._split
+    monkeypatch.setattr(plane_curves, "_split", lambda e, share: split(e, share - 0.08))
+    reset_cache()
+    suite = check_plane_counts(300)
+    assert not suite.ok
+    assert "differs from Kontsevich's recursion" in suite.failures[0]
+    _assert_no_child_left()
+
+
+def test_plane_counts_fails_when_a_pair_is_dropped(monkeypatch):
+    pair_sum = plane_curves._pair_sum
+
+    def dropping(table, e, lo, hi):
+        # degree 40 loses its pair a = lo
+        total = pair_sum(table, e, lo, hi)
+        return total - pair_sum(table, e, lo, lo + 1) if e == 40 and lo < hi else total
+
+    monkeypatch.setattr(plane_curves, "_pair_sum", dropping)
+    reset_cache()
+    try:
+        suite = check_plane_counts(60)
+        assert not suite.ok
+        assert suite.failures[0] == "N_40 differs from Kontsevich's recursion mod 2^61 - 1"
+    finally:
+        reset_cache()

@@ -461,6 +461,118 @@ def test_class_product_checks_the_box_of_each_term():
     assert str(zero * wide) == str(wide * zero) == "0"
 
 
+_WIDE, _TALL, _GOOD = (4,), (1, 1, 1), (2, 1)  # on G(2,5): too long a row, too many rows, in the box
+_MESSAGES = {_WIDE: "partition 4 does not fit the 2x3 box of G(2,5)",
+             _TALL: "partition 1,1,1 does not fit the 2x3 box of G(2,5)"}
+
+
+def _out_of_box_products():
+    """(call, the class its BoxError names) for each position of a product."""
+    def cls(*ps, shift=0):
+        """The class 2 q**shift s[ps[0]] - q**(shift + 1) s[ps[1]] (as far as ps goes)."""
+        return QuantumClass(G25, {(shift + i, p): c for i, (p, c) in enumerate(zip(ps, (2, -1)))})
+
+    good = QuantumClass.from_partition(G25, _GOOD)
+    return [
+        (lambda: quantum_product(_WIDE, _GOOD, G25), _WIDE),
+        (lambda: quantum_product(_GOOD, _WIDE, G25), _WIDE),
+        (lambda: quantum_product(_TALL, _GOOD, G25), _TALL),
+        (lambda: quantum_product(_WIDE, _TALL, G25), _WIDE),  # read as the pair (tall, wide)
+        (lambda: quantum_product(_TALL, _WIDE, G25), _TALL),
+        (lambda: cls(_GOOD, _WIDE) * good, _WIDE),
+        (lambda: good * cls(_GOOD, _TALL, shift=1), _TALL),
+        (lambda: cls(_GOOD, _TALL) * cls(_WIDE), _TALL),  # the first pair read fails on wide
+        (lambda: cls(_WIDE) * cls(_TALL), _WIDE),
+        (lambda: cls(_TALL) * cls(_GOOD, _WIDE), _TALL),
+    ]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_an_out_of_box_class_raises_at_each_position_of_a_product(warm):
+    # the box is checked where a record is built; a record is never built
+    # for a class out of the box, so the check holds warm as cold and names
+    # the class that checking every class first would name.  Warm, every
+    # in-box record is cached already and a failed call caches nothing; cold,
+    # a class product caches the in-box pairs it reads before failing (any
+    # later call would), and a repeated failure caches nothing more.
+    for call, named in _out_of_box_products():
+        clear_cache()
+        if warm:
+            for lam, mu in combinations_with_replacement(G25.basis(), 2):
+                quantum_product(lam, mu, G25)
+        size = _product_terms.cache_info().currsize
+        sizes = []
+        for _ in range(2):
+            with pytest.raises(BoxError) as err:
+                call()
+            assert str(err.value) == _MESSAGES[named]
+            sizes.append(_product_terms.cache_info().currsize)
+        assert (sizes == [size, size]) if warm else (sizes[0] == sizes[1])
+
+
+def test_an_isotropic_product_raises_unsupported_family_first():
+    for space in (parse_space("IG(2,6)"), parse_space("OG(2,7)")):
+        left = QuantumClass(space, {(0, (9, 9)): 1})
+        right = QuantumClass(space, {(0, (1,)): 1, (1, (1, 1, 1)): -1})
+        size = _product_terms.cache_info().currsize
+        for call in (lambda: quantum_product((1,), (9, 9), space),
+                     lambda: quantum_product((1, 1, 1), (1,), space),
+                     lambda: left * right, lambda: right * left):
+            with pytest.raises(UnsupportedFamilyError) as err:
+                call()
+            assert str(err.value) == "isotropic quantum products out of scope"
+        assert _product_terms.cache_info().currsize == size
+
+
+def _termwise(x, y):
+    """x * y term by term from quantum_product, summed in the order of the
+    terms, then with its zeros dropped; and whether some sum was 0."""
+    out: dict = {}
+    for (d1, p1), c1 in x.terms.items():
+        for (d2, p2), c2 in y.terms.items():
+            for (d, p), c in quantum_product(p1, p2, x.space).terms.items():
+                key = (d1 + d2 + d, p)
+                out[key] = out.get(key, 0) + c1 * c2 * c
+    return {key: c for key, c in out.items() if c}, 0 in out.values()
+
+
+@pytest.mark.parametrize("space", [G25, G36])
+def test_class_product_matches_the_termwise_sum_with_its_key_order(space):
+    # classes with q shifts and negative coefficients; pairs of classes
+    # whose products cancel in places, so some sums reach 0
+    draw = random.Random(f"class-products-{space}")
+    basis, coeffs = space.basis(), (-2, -1, 1, 3)
+    cancelled = 0
+    for _ in range(300):
+        if draw.random() < 0.5:
+            x, y = (QuantumClass(space, {(draw.randrange(3), draw.choice(basis)): draw.choice(coeffs)
+                                         for _ in range(draw.randrange(1, 5))}) for _ in range(2))
+        else:  # a difference times a sum of three classes with signs: more sums cancel
+            x = QuantumClass(space, {(0, draw.choice(basis)): 1, (1, draw.choice(basis)): -1})
+            y = QuantumClass(space, {(0, q): draw.choice((1, -1)) for q in draw.sample(basis, 3)})
+        expected, reached_zero = _termwise(x, y)
+        product = x * y
+        assert list(product.terms.items()) == list(expected.items()), (x, y)
+        assert 0 not in product.terms.values()
+        cancelled += reached_zero
+    assert cancelled >= 10  # the zero filter was exercised
+
+
+def test_changing_a_product_changes_no_record():
+    s21, s1 = QuantumClass.from_partition(G25, (2, 1)), QuantumClass.from_partition(G25, (1,))
+    for x, y in ((s21, s1), (s21 + s1, s1), (QuantumClass(G25, {(1, (2, 1)): 1}), s1)):
+        records = {pair: dict(_product_terms(*pair, G25)) for pair in (((1,), (1,)), ((1,), (2, 1)))}
+        first = x * y
+        expected = dict(first.terms)
+        first.terms[(0, (3, 2))] = 7
+        first.terms.pop(next(iter(expected)))
+        for pair, record in records.items():
+            assert _product_terms(*pair, G25) == record
+        assert (x * y).terms == expected
+    with pytest.raises(AttributeError):  # slotted: a class holds its space and terms alone
+        s1.extra = 1
+
+
 def test_quantum_class_rendering():
     assert str(quantum_product((2,), (1, 1), G24)) == "q*1"
     assert str(quantum_product((1,), (1,), G24)) == "s[1,1] + s[2]"

@@ -2,7 +2,13 @@ import pytest
 
 from qschub import quantum, selfcheck
 from qschub.errors import NotComputableError
+from qschub.plane_curves import MAX_ND_DEGREE
 from qschub.selfcheck import QUICK_SPACES, check_divisor_rule, run_selfcheck
+
+# `selfcheck full` reaches N_500, which starts the N_d helper process; under
+# `python -X dev -W error::ResourceWarning`, a helper's pipe left unclosed
+# raises in its finalizer, and this turns that into a failure here.
+pytestmark = pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 
 
 def test_quick_passes():
@@ -124,3 +130,11 @@ def test_detects_broken_pieri_chain(monkeypatch):
     # the spurious term shows up exactly where expected
     broken = quantum.quantum_pieri(2, (2,), quantum.Grassmannian("A", 2, 4))
     assert broken.coefficient(1, ()) == 1
+
+
+def test_full_compares_every_nd_with_the_independent_recursion():
+    # N_1..N_4 by value, the two invariants, and each N_d to the limit mod 2^61 - 1
+    (plane,) = [suite for suite in run_selfcheck("full") if suite.name == "plane_counts"]
+    assert plane.ok and plane.checks == 6 + MAX_ND_DEGREE
+    (plane,) = [suite for suite in run_selfcheck("quick") if suite.name == "plane_counts"]
+    assert plane.checks == 6
