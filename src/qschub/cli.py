@@ -93,6 +93,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _int_arg(text: str) -> int:
+    """An integer option: an optional "-" and ASCII digits.  int() alone
+    would also read "0_1", "+1", " 1" and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qschub", description="Exact quantum Schubert calculus on Grassmannians.")
     common = argparse.ArgumentParser(add_help=False)
@@ -123,7 +132,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gw", parents=[common], help="a Gromov-Witten invariant")
     p.add_argument("space")
-    p.add_argument("-d", "--degree", type=int, required=True)
+    p.add_argument("-d", "--degree", type=_int_arg, required=True)
     p.add_argument("insertions", metavar="CLASS", nargs="+",
                    help='Schubert conditions as comma lists; "0" is the fundamental class, "pt" the point class')
 
@@ -136,12 +145,12 @@ def build_parser() -> _Parser:
                     "twice the number of conics; isotropic quantum products are out of scope "
                     "here and such queries exit with code 4.")
     p.add_argument("space")
-    p.add_argument("-d", "--degree", type=int, required=True)
+    p.add_argument("-d", "--degree", type=_int_arg, required=True)
     p.add_argument("conditions", metavar="COND", nargs="+")
 
     p = sub.add_parser("nd", parents=[common], help="rational plane curve counts N_d")
-    p.add_argument("degree", metavar="D", nargs="?", type=int, default=None)
-    p.add_argument("--upto", metavar="D", type=int, default=None,
+    p.add_argument("degree", metavar="D", nargs="?", type=_int_arg, default=None)
+    p.add_argument("--upto", metavar="D", type=_int_arg, default=None,
                    help="print the whole table for d = 1..D")
 
     p = sub.add_parser("selfcheck", parents=[common], help="run the built-in invariant suites")

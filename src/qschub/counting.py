@@ -21,9 +21,6 @@ class CountProblem(namedtuple("CountProblem", "space degree conditions")):
 
     __slots__ = ()
 
-    def as_query(self) -> GWQuery:
-        return GWQuery(self.space, self.degree, self.conditions)
-
 
 class CountResult(namedtuple("CountResult", "gw_value divisor_conditions curve_count")):
     """The invariant, the number r of codimension-one conditions, and the

@@ -13,27 +13,16 @@ are all point classes is the number N_d of degree-d rational plane curves.
 from collections import namedtuple
 
 from .errors import NotComputableError, UnbalancedQueryError
-from .partitions import Partition, box_complement
+from .partitions import Partition
 from .plane_curves import kontsevich_nd
 # quantum_product is unused here; perfbench/tracer.py wraps it until ROADMAP Direction 1
-from .quantum import _product_terms, quantum_product
+from .quantum import _structure_constant, quantum_product
 from .spaces import Grassmannian, grassmannian
 
 DIVISOR: Partition = (1,)
 POINT_P2: Partition = (2,)
 
 _P2 = grassmannian(1, 3)
-
-
-def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Partition,
-                        d: int) -> int:
-    """The coefficient of q**d s[dual(c)] in s[a] * s[b], read from the
-    cached product of the pair in tuple order, for classes already
-    box-checked: the dual is flipped without a second box check, and the
-    weights are not tested."""
-    _, m, n = space
-    terms = _product_terms(a, b, space) if a <= b else _product_terms(b, a, space)
-    return terms.get((d, box_complement(c, m, n - m)), 0)
 
 
 def gw_3point(
@@ -91,15 +80,15 @@ def gw_spoint(query: GWQuery) -> int:
     """Evaluate an s-point invariant of any degree d >= 0.
 
     The family and every insertion's box are checked in one call, and the
-    balance once.  The box check cannot be left to the product record, as
-    quantum_product leaves it: the dual class and the N_d route never reach
-    a record.  At d = 0, fewer than three insertions raise
-    NotComputableError (before the balance check), three give the triple
-    product and more give 0.  At d >= 1, a fundamental class gives 0; each
-    s[1] is stripped for a factor d; three or fewer classes left give a
-    quantum structure constant (padded back with s[1], dividing by d per
-    pad, always exactly, and with no power of d computed at d = 1); more are
-    computed only as the plane count N_d: all point classes on G(1,3).
+    balance once.  The box check cannot be left to the product record: the
+    dual class and the N_d route never reach a record.  At d = 0, fewer than
+    three insertions raise NotComputableError (before the balance check),
+    three give the triple product and more give 0.  At d >= 1, a fundamental
+    class gives 0; each s[1] is stripped for a factor d; three or fewer
+    classes left give a quantum structure constant (padded back with s[1],
+    dividing by d per pad, always exactly, and with no power of d computed
+    at d = 1); more are computed only as the plane count N_d: all point
+    classes on G(1,3).
 
     The three-point reads skip gw_3point's balance test: with s
     insertions, k of them s[1] stripped and pad = 3 - (s - k) put back, the

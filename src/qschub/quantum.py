@@ -37,22 +37,22 @@ orbit), and all the products of two orbits share one LR expansion.
 A product of the lightest classes on a tall space (m > n - m) is computed on
 G(n - m, n), with the partitions conjugated: s[p] -> s[p'] with q fixed maps
 the ring of G(m, n) onto that of G(n - m, n), and the LR expansion grows
-with the rows of the box.  Products commute, so s[lam] * s[mu] and s[mu] *
-s[lam] are one cached record, keyed on the pair in tuple order; every reader
-puts its pair in that order first.  The expansion grows one letter per row
-of its content, the second factor of schur_product, so the factor of fewer
-rows (after the conjugation), then the lighter, is the content.
+with the rows of the box.  The expansion grows one letter per row of its
+content, the second factor of schur_product, so the factor of fewer rows
+(after the conjugation), then the lighter, is the content.
 
-A pair is box-checked where its record is built, in _product_terms, and
-nowhere else on the product path.  Whether a class fits the box depends only
-on the class and the space, both part of the cache key, so every cached key
-is in the box: a warm quantum_product or class product makes no check at
-all, and a pair out of the box never gets a record, so it raises on every
-call, warm or cold.  On that raise, quantum_product and QuantumClass.__mul__
-check their classes again in their own order, so that the error names the
-same class whichever pair was read first.  Invariants check all their
-classes in one call (gromov_witten.gw_spoint), since the dual class and the
-N_d route never reach a record.
+Products commute, so s[lam] * s[mu] and s[mu] * s[lam] are one cached
+record, and _product_terms alone knows its order and format: a record is
+read in either order and box-checked in the order given, where it is built,
+and nowhere else on the product path.  Readers pass their pair as they have
+it.  Whether a class fits the box depends only on the class and the space,
+both part of the cache key, so every cached key is in the box: a warm
+quantum_product or class product makes no check at all, and a pair out of
+the box never gets a record, so it raises on every call, warm or cold.  A
+class product reads many pairs, so on that raise QuantumClass.__mul__ checks
+its terms again, the left factor's before the right's.  Invariants check all
+their classes in one call (gromov_witten.gw_spoint), since the dual class
+and the N_d route never reach a record.
 """
 
 from collections import namedtuple
@@ -62,7 +62,8 @@ from functools import lru_cache
 from .errors import BoxError, UnsupportedFamilyError
 from .lr import schur_product
 from .partitions import (
-    Partition, conjugate, format_partition, is_horizontal_strip, partitions_of_weight, weight
+    Partition, box_complement, conjugate, format_partition, is_horizontal_strip,
+    partitions_of_weight, weight,
 )
 from .spaces import Grassmannian, require_type_a
 
@@ -178,14 +179,15 @@ class QuantumClass:
 
     def __mul__(self, other):
         """The product with an integer or with another class.  Each pair of
-        terms reads the Schubert product _product_terms caches, in tuple
-        order, with no QuantumClass built per pair.  A term out of the box
-        raises where its record would be built (a cached record is always
-        of classes in the box); the terms are then checked in order, the
-        left factor's then the right's, so the error names the first of
-        them out of the box.  A pair with no q shift adds the record's own
-        keys, the first pair (scale 1, no shift) is copied whole, and zeros
-        are dropped only if some sum reached 0."""
+        terms reads the Schubert product _product_terms caches, in the
+        order the terms come, with no QuantumClass built per pair.  A term
+        out of the box raises where its record would be built (a cached
+        record is always of classes in the box); the terms are then checked
+        in order, the left factor's then the right's, so the error names the
+        first of them out of the box, whichever pair was read first.  A pair
+        with no q shift adds the record's own keys, the first pair (scale 1,
+        no shift) is copied whole, and zeros are dropped only if some sum
+        reached 0."""
         if isinstance(other, int):
             return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
         if not isinstance(other, QuantumClass):
@@ -199,8 +201,7 @@ class QuantumClass:
             for (d1, p1), c1 in self.terms.items():
                 for (d2, p2), c2 in other.terms.items():
                     shift, scale = d1 + d2, c1 * c2
-                    record = (_product_terms(p1, p2, space) if p1 <= p2
-                              else _product_terms(p2, p1, space))
+                    record = _product_terms(p1, p2, space)
                     if shift:
                         for (d, p), c in record.items():
                             key = (d + shift, p)
@@ -269,26 +270,28 @@ def _lightest(lam: Partition, m: int, n: int) -> tuple[Partition, int]:
 def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
     """s[lam] * s[mu] as {(q power, partition): nonzero coefficient}, keys
     sorted: the cached record itself, which callers read and never change.
-    Callers pass lam <= mu in tuple order, so that both orders of a product
-    read this one record.  This is the one place a record is built, and the
-    pair is box-checked here, before anything else: the check depends only
-    on the pair and the space, both in the cache key, so every cached key is
-    in the box and a hit needs no check, while a pair out of the box never
-    gets a record and raises on every call.  Unless lam and mu are the
-    lightest classes of their Seidel orbits, the record is the one of that
-    lightest pair, each term rotated back (see the module docstring).  The
-    lightest pair itself is expanded: on a tall space as s[lam'] * s[mu'] on
-    G(n - m, n), conjugated back, and either way with the factor of fewer
-    rows, then the lighter, as the LR content."""
+    This is the one place a record is built.  The pair is read in either
+    order and box-checked in the order given, before anything else: the
+    check depends only on the pair and the space, both in the cache key, so
+    every cached key is in the box and a hit needs no check, while a pair
+    out of the box never gets a record and raises on every call.  With mu
+    before lam in tuple order, the record is the very dict of (mu, lam),
+    with no second expansion.  Unless lam and mu are the lightest classes of
+    their Seidel orbits, the record is the one of that lightest pair, each
+    term rotated back (see the module docstring).  The lightest pair itself
+    is expanded: on a tall space as s[lam'] * s[mu'] on G(n - m, n),
+    conjugated back, and either way with the factor of fewer rows, then the
+    lighter, as the LR content."""
     space.require_in_box(lam, mu)
+    if mu < lam:
+        return _product_terms(mu, lam, space)
     _, m, n = space
     a, i = _lightest(lam, m, n)
     b, j = _lightest(mu, m, n)
-    pair = (a, b) if a <= b else (b, a)
-    if pair != (lam, mu):
+    if (a, b) != (lam, mu):
         total = weight(lam) + weight(mu)
         terms = {}
-        for (_, nu), c in _product_terms(*pair, space).items():
+        for (_, nu), c in _product_terms(a, b, space).items():
             p = _from_beads([(beta + i + j) % n for beta in _beta_numbers(nu, m)])
             d, rest = divmod(total - weight(p), n)
             if rest or d < 0:
@@ -329,16 +332,19 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     of the classical expansion.  All surviving coefficients are genus-zero
     three-point Gromov-Witten invariants, hence positive.  For a whole
     multiplication table use product_table, the Pieri path that checks
-    this one.  The pair is box-checked where its record is built, so a
-    warm product checks nothing; on a failed check lam and mu are checked
-    in that order, so that the error names lam when both are out of the
-    box."""
-    try:
-        terms = _product_terms(lam, mu, space) if lam <= mu else _product_terms(mu, lam, space)
-    except (BoxError, UnsupportedFamilyError):
-        space.require_in_box(lam, mu)
-        raise
-    return QuantumClass._nonzero(space, dict(terms))
+    this one.  The record is read in either order and box-checked in the
+    order given, where it is built: a warm product checks nothing, and the
+    error names lam when both are out of the box."""
+    return QuantumClass._nonzero(space, dict(_product_terms(lam, mu, space)))
+
+
+def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Partition,
+                        d: int) -> int:
+    """The coefficient of q**d s[dual(c)] in s[a] * s[b], read from their
+    product record in either order.  The dual is flipped without a box check
+    of c, which the caller has made, and the weights are not tested."""
+    _, m, n = space
+    return _product_terms(a, b, space).get((d, box_complement(c, m, n - m)), 0)
 
 
 def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Partition]:

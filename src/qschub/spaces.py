@@ -142,9 +142,10 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
         """Raise BoxError unless every one of `classes` indexes a Schubert
         class of the space, naming the first that does not
         (UnsupportedFamilyError first on an isotropic space).  A query
-        passes all its classes in one call.  Products make this check where
-        their record is built (quantum._product_terms), so every cached
-        record is of classes in the box; invariants make it once per query.
+        passes all its classes in one call.  Products make this check in
+        quantum, where their record is built, on the pair in the order
+        given, so every cached record is of classes in the box; invariants
+        make it once per query.
         It unpacks the fields once and inlines fits_in_box's test, with no
         call per class; a test pins it to in_box on and past the edges of a
         box."""

@@ -732,10 +732,20 @@ def test_every_argv_exits_with_a_defined_code_and_one_error_line(argv, as_json):
     (("gw", "G(2,4)", "-d", "1", "2,2", "1,1", "٢"), "error: bad partition syntax: '٢'\n"),
     (("qmul", "G(٢,٤)", "1", "1"), "error: bad space syntax: 'G(٢,٤)'\n"),
     (("qtable", "G(2,４)"), "error: bad space syntax: 'G(2,４)'\n"),
+    (("gw", "G(2,4)", "-d", "0_1", "1", "1", "2"),
+     "error: argument -d/--degree: invalid int value: '0_1'\n"),
+    (("gw", "G(2,4)", "-d", "+1", "2,2", "1,1", "2"),
+     "error: argument -d/--degree: invalid int value: '+1'\n"),
+    (("count", "G(2,4)", "-d", "١", "2,2", "1,1", "2"),
+     "error: argument -d/--degree: invalid int value: '١'\n"),
+    (("nd", "٣"), "error: argument D: invalid int value: '٣'\n"),
+    (("nd", "--upto", "1_0"), "error: argument --upto: invalid int value: '1_0'\n"),
+    (("nd", "--upto", "-٣"), "error: argument --upto: invalid int value: '-٣'\n"),
 ])
 def test_partition_and_space_text_take_ascii_digits_only(capsys, argv, err):
     # int() alone reads "1_0" as 10, "+1" as 1 and other scripts' digits as
-    # digits; each is a syntax error, exit 2 with one line
+    # digits; each is a syntax error, exit 2 with one line, in a partition,
+    # a space or an integer option
     assert run(capsys, *argv) == (2, "", err)
 
 

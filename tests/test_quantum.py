@@ -167,7 +167,9 @@ def test_each_unordered_product_is_expanded_once(space, monkeypatch):
     # orbits: from a cold cache, every ordered pair of the basis costs one LR
     # expansion per unordered pair of orbits, whichever order comes first,
     # and the content (schur_product's second factor, on G(3,7) for the
-    # tall G(4,7)) has the fewer rows
+    # tall G(4,7)) has the fewer rows.  _product_terms reads a pair in either
+    # order: the order read second gets the very record of the first, with
+    # no expansion, and so does gw_3point with its first two classes swapped
     expansions = []
 
     def spy(lam, mu, rows):
@@ -184,17 +186,31 @@ def test_each_unordered_product_is_expanded_once(space, monkeypatch):
         for lam, mu in combinations_with_replacement(basis, 2):
             first, second = ((mu, lam), (lam, mu)) if reverse_first else ((lam, mu), (mu, lam))
             terms = quantum_product(*first, space).terms
+            expanded = len(expansions)
+            assert _product_terms(*second, space) is _product_terms(*first, space), (lam, mu)
+            assert len(expansions) == expanded, (lam, mu)
             assert quantum_product(*second, space).terms == terms, (lam, mu)
             assert found.setdefault(frozenset((lam, mu)), terms) == terms, (lam, mu)
         assert len(expansions) == orbits * (orbits + 1) // 2 == 15
         assert all(len(content) <= len(other) for other, content in expansions)
     # class products and three-point invariants read the same records
-    for lam, mu in cartesian(basis, repeat=2):
-        terms = found[frozenset((lam, mu))]
-        product = QuantumClass.from_partition(space, lam) * QuantumClass.from_partition(space, mu)
-        assert product.terms == terms, (lam, mu)
-        for (d, nu), c in terms.items():
-            assert gw_3point(space, lam, mu, space.dual(nu), d) == c, (lam, mu, d, nu)
+    cached, read = _product_terms, []
+
+    def reading(lam, mu, space):
+        read.append(cached(lam, mu, space))
+        return read[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum, "_product_terms", reading)
+        for lam, mu in cartesian(basis, repeat=2):
+            terms = found[frozenset((lam, mu))]
+            record = cached(*sorted((lam, mu)), space)
+            product = QuantumClass.from_partition(space, lam) * QuantumClass.from_partition(space, mu)
+            assert product.terms == terms, (lam, mu)
+            for (d, nu), c in terms.items():
+                read.clear()
+                assert gw_3point(space, lam, mu, space.dual(nu), d) == c, (lam, mu, d, nu)
+                assert len(read) == 1 and read[0] is record, (lam, mu, d, nu)
     assert len(expansions) == 15
     # the point class is in the unit's orbit: its products expand nothing
     # but the unit as content
