@@ -57,12 +57,10 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
     def _make(cls, iterable):
         return cls(*iterable)  # so _replace checks its fields too
 
-    def total_codim(self) -> int:
-        return sum(map(sum, self.insertions))  # a class's codimension is its weight, sum(p)
-
     def is_balanced(self) -> bool:
-        """The one balance rule: the codimensions, summed in one pass, equal
-        moduli_dimension, called once."""
+        """The one balance rule: the codimensions, summed in one pass (a
+        class's codimension is its weight, sum(p)), equal moduli_dimension,
+        called once."""
         space, d, insertions = self
         return sum(map(sum, insertions)) == space.moduli_dimension(len(insertions), d)
 
@@ -71,7 +69,7 @@ class GWQuery(namedtuple("GWQuery", "space degree insertions")):
         if not self.is_balanced():
             space, d, insertions = self
             raise UnbalancedQueryError(
-                f"codimensions sum to {self.total_codim()}, "
+                f"codimensions sum to {sum(map(sum, insertions))}, "
                 f"moduli dimension is {space.moduli_dimension(len(insertions), d)}"
             )
 

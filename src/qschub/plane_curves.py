@@ -26,20 +26,21 @@ interpreter without site) and computes degrees alone until the helper
 writes its ready byte.  From then on degree e is split at
 A_e = 1 + floor(PARENT_SHARE * floor(e/2)): this process sums the pairs
 a < A_e, the helper sums the pairs A_e <= a <= e/2, and this process adds
-the helper's partial sum, divides and sends N_e on.  The helper's pairs use
-N_a and N_{e-a} with A_e <= a <= e - A_e, values at least A_e degrees old,
-so the helper runs ahead of this process and never waits for N_{e-1}.
+the helper's partial sum and divides.  The helper's pairs use N_a and
+N_{e-a} with A_e <= a <= e - A_e, values at least A_e degrees old, so the
+helper runs ahead of this process and never waits for N_{e-1}.
 Large-a pairs are balanced products costing about twice the lopsided
 small-a ones, hence this process's larger share of the pairs.
 
 Both pipes carry frames: a 4-byte little-endian length, then that many
 bytes of a signed little-endian integer.  The helper gets the last degree
 and PARENT_SHARE on its command line, so both sides split alike.  Its input
-is the first degree it sums, then N_1, N_2, ... (each N_e sent as soon as
-it is known); its output is one ready byte, then one partial sum per degree
-in order, after which it reads to the end of its input.  It only ever
-waits for a value whose degree it has already summed, and before each
-degree it reads everything waiting on its input without blocking, so
+is the first degree it sums, then N_1, N_2, ...: each N_e is sent when this
+process starts degree e + 1, so the last degree's value, which the helper
+never reads, is not sent.  Its output is one ready byte, then one partial
+sum per degree in order, after which it reads to the end of its input.  It
+only ever waits for a value whose degree it has already summed, and before
+each degree it reads everything waiting on its input without blocking, so
 neither side stalls on the other or on a full pipe.  If the helper cannot
 start, exits or sends a short frame, this process sums the missing pairs
 itself and carries on alone, with the same values and nothing on stderr.
@@ -105,8 +106,6 @@ def _extend(d: int) -> None:
                 raise RuntimeError(f"N_{e}: the pair sum leaves remainder {rest} mod (3e-3)(3e-2); "
                                    "this is a bug")
             _table.append(value)
-            if helper is not None:
-                helper.send(e)
     finally:
         if helper is not None:
             helper.close()
@@ -156,6 +155,7 @@ class _Helper:
         self._proc = proc
         self._share = share  # both sides split with this one value
         self._joined = False
+        self._sent = 0  # the helper has N_1..N_sent
 
     @classmethod
     def start(cls, last: int) -> "_Helper | None":
@@ -174,18 +174,26 @@ class _Helper:
 
     def split(self, e: int) -> int:
         """A_e once the helper is ready; until then, or once it is gone,
-        e // 2 + 1, so that this process sums every pair of degree e."""
-        if not self._joined and self._proc is not None:
-            import select
+        e // 2 + 1, so that this process sums every pair of degree e.
+        The one writer to the helper: on joining it sends e, the first
+        degree the helper sums, and on every call while joined each value
+        below e that the helper lacks (N_1..N_{e-1} at the join, N_{e-1}
+        after it)."""
+        try:
+            if not self._joined and self._proc is not None:
+                import select
 
-            try:
                 if select.select([self._proc.stdout], [], [], 0)[0]:
                     if self._proc.stdout.read(1) != b"R":
                         raise EOFError
-                    self._write(_frame(e) + b"".join(map(_frame, _table[1:e])))
+                    self._proc.stdin.write(_frame(e))
                     self._joined = True
-            except (OSError, EOFError):
-                self.close()
+            if self._joined:
+                self._proc.stdin.write(b"".join(map(_frame, _table[self._sent + 1:e])))
+                self._proc.stdin.flush()
+                self._sent = e - 1
+        except (OSError, EOFError):
+            self.close()
         return _split(e, self._share) if self._joined else e // 2 + 1
 
     def partial(self) -> int | None:
@@ -201,18 +209,6 @@ class _Helper:
             pass
         self.close()
         return None
-
-    def send(self, e: int) -> None:
-        """Send N_e, once the helper is summing."""
-        if self._joined:
-            try:
-                self._write(_frame(_table[e]))
-            except OSError:
-                self.close()
-
-    def _write(self, data: bytes) -> None:
-        self._proc.stdin.write(data)
-        self._proc.stdin.flush()
 
     def close(self) -> None:
         """Close both pipes, kill the helper if it still runs, and reap it."""

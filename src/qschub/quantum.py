@@ -65,7 +65,7 @@ from .partitions import (
     Partition, box_complement, conjugate, format_partition, is_horizontal_strip,
     partitions_of_weight, weight,
 )
-from .spaces import Grassmannian, require_type_a
+from .spaces import Grassmannian
 
 
 class ReductionOutcome(namedtuple("ReductionOutcome", "q_power sign core")):
@@ -107,7 +107,7 @@ def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | No
     None when two r_i coincide: the n-core does not fit the m x (n-m) box and
     the term dies in the quantum ring.
     """
-    require_type_a(space)
+    space.require_in_box()  # the family alone
     m, n = space.m, space.n
     if len(nu) > m:
         raise BoxError(f"partition {format_partition(nu)} has more than {m} rows")

@@ -20,8 +20,6 @@ from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box, form
 
 _FAMILIES = frozenset("ABCD")
 
-_ISOTROPIC_MSG = "isotropic quantum products out of scope"
-
 
 class MoreThan(int):
     """A count known only to pass a power of ten, 10^e: it holds 10^e + 1
@@ -131,8 +129,9 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
 
     @property
     def box_cols(self) -> int:
-        if self.family != "A":
-            raise UnsupportedFamilyError(_ISOTROPIC_MSG)
+        """n - m, the width of the box of Schubert classes; an isotropic
+        space raises through require_in_box, the one family guard."""
+        self.require_in_box()
         return self.n - self.m
 
     def in_box(self, p: Partition) -> bool:
@@ -141,17 +140,19 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
     def require_in_box(self, *classes: Partition) -> None:
         """Raise BoxError unless every one of `classes` indexes a Schubert
         class of the space, naming the first that does not
-        (UnsupportedFamilyError first on an isotropic space).  A query
-        passes all its classes in one call.  Products make this check in
-        quantum, where their record is built, on the pair in the order
-        given, so every cached record is of classes in the box; invariants
-        make it once per query.
+        (UnsupportedFamilyError first on an isotropic space).  This is the
+        one family guard of the Schubert basis: with no classes it checks
+        the family alone, which is how box_cols and rim-hook reduction call
+        it.  A query passes all its classes in one call.  Products make
+        this check in quantum, where their record is built, on the pair in
+        the order given, so every cached record is of classes in the box;
+        invariants make it once per query.
         It unpacks the fields once and inlines fits_in_box's test, with no
         call per class; a test pins it to in_box on and past the edges of a
         box."""
         family, m, n = self
         if family != "A":
-            raise UnsupportedFamilyError(_ISOTROPIC_MSG)
+            raise UnsupportedFamilyError("isotropic quantum products out of scope")
         cols = n - m
         for p in classes:
             if len(p) > m or (p and p[0] > cols):
@@ -224,8 +225,3 @@ def parse_space(text: str) -> Grassmannian:
     if big % 2:
         return Grassmannian("B", m, (big - 1) // 2)
     return Grassmannian("D", m, (big - 2) // 2)
-
-
-def require_type_a(space: Grassmannian) -> None:
-    if space.family != "A":
-        raise UnsupportedFamilyError(_ISOTROPIC_MSG)

@@ -315,3 +315,20 @@ def test_plane_counts_fails_when_a_pair_is_dropped(monkeypatch):
         assert suite.failures[0] == "N_40 differs from Kontsevich's recursion mod 2^61 - 1"
     finally:
         reset_cache()
+
+
+def test_split_sends_each_value_once_and_never_the_last(helper_sums, monkeypatch):
+    # this process encodes the join degree, then N_1..N_259 once each and in
+    # order as it starts each next degree, and never N_260, which the helper
+    # does not read
+    frame, encoded = plane_curves._frame, []
+
+    def spied(x):
+        encoded.append(x)
+        return frame(x)
+
+    monkeypatch.setattr(plane_curves, "_frame", spied)
+    values = nd_values(260)
+    assert len(helper_sums) == 259 and None not in helper_sums  # joined at degree 2
+    assert encoded == [2] + [value for _, value in values[:-1]]
+    _assert_no_child_left()

@@ -540,6 +540,18 @@ def test_an_isotropic_product_raises_unsupported_family_first():
         assert _product_terms.cache_info().currsize == size
 
 
+
+@pytest.mark.parametrize("text", ["IG(2,6)", "OG(2,7)", "OG(3,8)"])
+def test_every_basis_helper_raises_the_one_family_message(text):
+    space = parse_space(text)
+    for call in (lambda: space.box_cols, space.basis, space.require_in_box,
+                 lambda: space.in_box((1,)), lambda: space.dual((1,)), space.point_class,
+                 lambda: rim_hook_reduce((1,), space), lambda: quantum_pieri(1, (), space),
+                 lambda: quantum.indexed_table(space), lambda: next(product_table(space))):
+        with pytest.raises(UnsupportedFamilyError) as err:
+            call()
+        assert str(err.value) == "isotropic quantum products out of scope"
+
 def _termwise(x, y):
     """x * y term by term from quantum_product, summed in the order of the
     terms, then with its zeros dropped; and whether some sum was 0."""

@@ -138,3 +138,25 @@ def test_full_compares_every_nd_with_the_independent_recursion():
     assert plane.ok and plane.checks == 6 + MAX_ND_DEGREE
     (plane,) = [suite for suite in run_selfcheck("quick") if suite.name == "plane_counts"]
     assert plane.checks == 6
+
+
+def test_commutativity_checks_the_lr_route_with_the_factors_swapped(monkeypatch):
+    # an LR expansion that loses its largest term whenever its content has
+    # more rows than its base shape; the product record, which takes the
+    # factor of fewer rows as the content, never meets the slip, so only
+    # the reduction of the pair in the other order shows it
+    real = quantum.schur_product
+
+    def slipping(lam, mu, max_rows):
+        expansion = real(lam, mu, max_rows)
+        if len(mu) > len(lam) and expansion:
+            del expansion[max(expansion)]
+        return expansion
+
+    quantum.clear_cache()
+    monkeypatch.setattr(quantum, "schur_product", slipping)
+    try:
+        results = run_selfcheck("quick")
+        assert "commutativity" in {suite.name for suite in results if not suite.ok}
+    finally:
+        quantum.clear_cache()
