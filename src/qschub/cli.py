@@ -12,12 +12,16 @@ always carry identical data.  qtable alone streams: its payload holds the
 Pieri table on basis indices as indexed_table yields it, and each row is
 written in either encoding as soon as it is built, in the bytes the whole
 document would have had, so its two encodings carry identical data too.
-The text of each term (q power and partition) is built once per table.
-Nothing is written to disk unless --json -o PATH is given, and PATH is
-opened only after the command's limits have been checked.
+The text of each term (q power and partition) is built once per table, and
+each entry's terms already come in the order they print.  Nothing is
+written to disk unless --json -o PATH is given, and PATH is opened only
+after the command's limits have been checked.  main, the entry of a qschub
+process, freezes the heap that the imports made before it runs the
+command, so neither the command's collections nor the one at exit walk it.
 """
 
 import argparse
+import gc
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -42,14 +46,16 @@ from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
 # qtable writes each row as it is built, so its peak RSS is the Pieri memo, the
-# entries waiting for later rows and one row: 16.5 MB for G(4,9) --json, 19 MB
+# entries waiting for later rows and one row: 16.7 MB for G(4,9) --json, 19 MB
 # for G(2,20) and G(1,209), 30 MB for G(3,13).  Time sets the bound: no --json
 # case within it may take longer than 1.35 s end to end (median of alternating
 # runs), what G(4,9) --json took when rows were first streamed.  The slowest
-# found within it are G(3,13) (286 classes), 0.99-1.31 s over three sessions,
-# and G(2,25) (300), 0.87-1.23 s; sizes 301-324 hold only G(1,n) and G(n-1,n).
-# G(2,26), the first space past it (325 classes), took 1.00-1.41 s, over 1.35 s
-# in one session of the three, and G(4,11) (330) 1.33-1.97 s.
+# found within it are G(3,13) (286 classes) at 0.67 s and G(2,25) (300) at
+# 0.63 s; sizes 301-324 hold only G(1,n) and G(n-1,n).  Past it, G(2,26) (325
+# classes) takes 0.71 s and G(4,11) (330) 0.98 s.  Medians of 5 runs, 2 vCPUs,
+# Python 3.11, against 0.80, 0.76, 0.97 and 1.19 s when each Pieri product
+# was filtered from every shape of its weight; earlier hosts read G(3,13) at
+# up to 1.31 s and G(2,26) at up to 1.41 s, so the bound stays.
 MAX_QTABLE_BASIS = 324
 # qmul, gw and count all reach quantum_product's LR expansion, which grows
 # with the rows of the box and of its content.  Each factor is first turned to
@@ -279,9 +285,9 @@ def _cmd_qtable(args):
 
 
 def _qtable_text(table) -> Iterator[str]:
-    """The text lines of indexed_table's rows, one chunk per row.  Each
-    term's text with coefficient 1 is built once per table; format_terms
-    writes the others."""
+    """The text lines of indexed_table's rows, one chunk per row, each
+    entry's terms in the order they come.  Each term's text with
+    coefficient 1 is built once per table; format_terms writes the others."""
     keys, rows = table
     names = [format_partition(p) for _, p in keys]
     plain = [format_terms([(d, name, 1)]) for (d, _), name in zip(keys, names)]
@@ -290,7 +296,7 @@ def _qtable_text(table) -> Iterator[str]:
         yield "".join(
             f"{left}{names[mu]}] = " + (" + ".join([
                 plain[t] if c == 1 else format_terms([(keys[t][0], names[t], c)])
-                for t, c in sorted(terms.items())
+                for t, c in terms.items()
             ]) or "0") + "\n"
             for mu, terms in row.items()
         )
@@ -299,20 +305,23 @@ def _qtable_text(table) -> Iterator[str]:
 def _qtable_json(table) -> Iterator[str]:
     """The JSON list of indexed_table's rows, one chunk per row, in the
     bytes json.dumps(doc, indent=2) writes for the list at depth 2 of the
-    document: its entries at depth 3, their terms at depth 5.  Each term's
-    text up to its coefficient is built once per table.  Partition text is
-    digits and commas, which JSON does not escape."""
+    document: its entries at depth 3, their terms at depth 5, in the order
+    they come.  Each term's text up to its coefficient, and its whole text
+    with coefficient 1, is built once per table.  Partition text is digits
+    and commas, which JSON does not escape."""
     keys, rows = table
     names = [format_partition(p) for _, p in keys]
     heads = [f'{{\n            "q": {d},\n            "partition": "{name}",\n            "coeff": '
              for (d, _), name in zip(keys, names)]
+    plain = [f"{head}1\n          }}" for head in heads]
     opening = "[\n      "
     for lam, row in rows:
         left = f'{{\n        "left": "{names[lam]}",\n        "right": "'
         entries = []
         for mu, terms in row.items():
             body = ",\n          ".join([
-                f"{heads[t]}{c}\n          }}" for t, c in sorted(terms.items())
+                plain[t] if c == 1 else f"{heads[t]}{c}\n          }}"
+                for t, c in terms.items()
             ])
             body = f"[\n          {body}\n        ]" if body else "[]"
             entries.append(f'{left}{names[mu]}",\n        "terms": {body}\n      }}')
@@ -489,4 +498,12 @@ def parse_and_dispatch(argv: list[str]) -> int:
 
 
 def main(argv=None) -> None:
+    """The entry of `python -m qschub` and of the `qschub` script: one
+    command, then exit.  The heap the imports made lives until exit, so it
+    is frozen first: the command's collections then skip it, and so does
+    the collect-and-free at exit, which took about 6 ms of a 60 ms command
+    (2 vCPUs, Python 3.11).  Atexit handlers, the flush of stdio and the -o file run as
+    before.  parse_and_dispatch, which the tests and the library call,
+    freezes nothing."""
+    gc.freeze()
     raise SystemExit(parse_and_dispatch(sys.argv[1:] if argv is None else list(argv)))

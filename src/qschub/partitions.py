@@ -5,8 +5,9 @@ tuple is the empty partition (the index of the fundamental class).  No
 zeros are ever stored, so equality and hashing are plain tuple semantics.
 The text form is a comma list like "2,1", with "0" denoting the empty
 partition; parse_partition is the one place such text is validated.  One
-generator, partitions_of_weight, enumerates shapes: enumerate_box lists a
-box weight by weight from it.
+generator, partitions_of_weight, enumerates the shapes of a box:
+enumerate_box lists a box weight by weight from it.  (Quantum Pieri lists
+its horizontal strips from their own row bounds, in quantum.)
 """
 
 from collections import Counter

@@ -12,13 +12,15 @@ contributes nothing.  That path serves single products (quantum_product,
 behind one memo cache).  Whole tables come from Bertram's quantum Pieri
 rule instead (product_table): s[p] * s[lam] is s[mu] summed over mu/lam a
 horizontal p-strip in the box, plus q times s[nu] summed over (lam - 1^m)/nu
-a horizontal strip of size n - m - p, every coefficient 1, and both lists
-come from the one shape enumerator.  Each row is built from Pieri steps
-alone, which is cheap for a whole row but pulls in most of a row for one
-product.  The table numbers the basis once and writes the term q**d * s[p]
-as the int d * (basis size) + (p's index), so its inner loops add and hash
-ints; each row computes only the products with classes at or after its own
-in basis order, and takes the rest from the rows before it, since products
+a horizontal strip of size n - m - p, every coefficient 1.  Each list is
+built straight from its strip bounds, lam_i <= mu_i <= min(lam_(i-1), n - m)
+and lam_(i+1) - 1 <= nu_i <= lam_i - 1, in basis order.  Each row is built
+from Pieri steps alone, which is cheap for a whole row but pulls in most of
+a row for one product.  The table numbers the basis once and writes the
+term q**d * s[p] as the int d * (basis size) + (p's index), so its inner
+loops add and hash ints, and each entry lists its terms in ascending order;
+each row computes only the products with classes at or after its own in
+basis order, and takes the rest from the rows before it, since products
 commute.  Rows are yielded one at a time so that a table is rendered as it
 is built.  The two paths share no code, and selfcheck compares them on
 every pair it visits.
@@ -62,8 +64,7 @@ from functools import lru_cache
 from .errors import BoxError, UnsupportedFamilyError
 from .lr import schur_product
 from .partitions import (
-    Partition, box_complement, conjugate, format_partition, is_horizontal_strip,
-    partitions_of_weight, weight,
+    Partition, box_complement, conjugate, format_partition, weight,
 )
 from .spaces import Grassmannian
 
@@ -347,36 +348,81 @@ def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Part
     return _product_terms(a, b, space).get((d, box_complement(c, m, n - m)), 0)
 
 
+def _shapes_between(lo: list[int], hi: list[int], total: int) -> Iterator[Partition]:
+    """Every x of weight `total` with lo_i <= x_i <= hi_i in each row, in
+    partitions_of_weight's order (decreasing lexicographic), trailing zero
+    rows dropped.  The bounds interlace, hi_(i+1) <= lo_i, so each x is a
+    partition.  The first x fills each row in turn; the next takes one cell
+    from the last row whose rows below have room for it, then fills those
+    rows again.  A loop, not a recursion: a deep box has thousands of rows."""
+    free = [i for i, (a, b) in enumerate(zip(lo, hi)) if a < b]
+    end = len(hi)
+    while end and not hi[end - 1]:
+        end -= 1  # rows that stay empty
+    x = list(lo)
+    k, left = -1, total - sum(lo)
+    if left < 0:
+        return
+    while True:
+        for i in free[k + 1:]:
+            x[i] = lo[i] + (take := min(hi[i] - lo[i], left))
+            left -= take
+        if left:
+            return  # only on the first fill: the rows cannot hold total
+        size = end
+        while size and not x[size - 1]:
+            size -= 1
+        yield tuple(x[:size])
+        below = room = 0  # cells past lo, and room left, in the free rows after k
+        for k in range(len(free) - 1, -1, -1):
+            i = free[k]
+            if room and x[i] > lo[i]:
+                break
+            below += x[i] - lo[i]
+            room += hi[i] - x[i]
+        else:
+            return
+        x[i] -= 1
+        left = below + 1
+
+
+def _pieri_classical_shapes(lam: Partition, rows: int, cols: int,
+                            target: int) -> Iterator[Partition]:
+    """The shapes of the classical half of Bertram's rule: mu of weight
+    `target` with mu/lam a horizontal strip in the rows x cols box, i.e.
+    lam_i <= mu_i <= min(lam_(i-1), cols) with lam_0 read as cols; no row
+    past row len(lam) + 1 can grow."""
+    depth = min(len(lam) + 1, rows)
+    lo = list(lam[:depth]) + [0] * (depth - len(lam))
+    hi = [cols] + [min(x, cols) for x in lam[:depth - 1]]
+    return _shapes_between(lo, hi, target)
+
+
 def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Partition]:
     """The shapes of the q half of Bertram's rule: nu of weight `target`
-    with (lam - 1^rows)/nu a horizontal strip, i.e. lam_1 - 1 >= nu_1 >=
-    lam_2 - 1 >= ... >= nu_rows >= 0.  There are none when lam has fewer
-    than `rows` parts."""
+    with (lam - 1^rows)/nu a horizontal strip, i.e. lam_(i+1) - 1 <= nu_i <=
+    lam_i - 1, with lam_(rows+1) - 1 read as 0.  There are none when lam
+    has fewer than `rows` parts."""
     if len(lam) < rows:
-        return
-    shifted = tuple(x - 1 for x in lam if x > 1)
-    yield from (nu for nu in partitions_of_weight(target, rows, lam[0] - 1)
-                if is_horizontal_strip(nu, shifted))
+        return iter(())
+    return _shapes_between([x - 1 for x in lam[1:rows]] + [0], [x - 1 for x in lam[:rows]], target)
 
 
 def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     """Quantum product of the special class s[p] (a single row) with s[lam]
     by Bertram's rule, two lists of horizontal strips with coefficient 1:
     s[mu] for mu/lam a horizontal p-strip inside the box, plus q * s[nu] for
-    (lam - 1^m)/nu a horizontal strip, nu of weight |lam| + p - n."""
+    (lam - 1^m)/nu a horizontal strip, nu of weight |lam| + p - n.  Each
+    list is built from its strip bounds, in basis order."""
     if not 1 <= p <= space.box_cols:
         raise ValueError(f"row length {p} out of range 1..{space.box_cols} for {space.notation}")
     space.require_in_box(lam)
-    terms: dict[tuple[int, Partition], int] = {}
+    _, m, n = space
     target = weight(lam) + p
-    for mu in partitions_of_weight(target, space.m, space.box_cols):
-        if is_horizontal_strip(lam, mu):
-            terms[(0, mu)] = 1
-    q_weight = target - space.n
-    if q_weight >= 0:
-        for nu in _pieri_quantum_shapes(lam, space.m, q_weight):
-            terms[(1, nu)] = 1
-    return QuantumClass(space, terms)
+    terms = {(0, mu): 1 for mu in _pieri_classical_shapes(lam, m, n - m, target)}
+    if target >= n:
+        terms.update(((1, nu), 1) for nu in _pieri_quantum_shapes(lam, m, target - n))
+    return QuantumClass._nonzero(space, terms)
 
 
 def indexed_table(space: Grassmannian) -> tuple[
@@ -388,9 +434,11 @@ def indexed_table(space: Grassmannian) -> tuple[
     basis size: keys[t] is (d, p), and the ints sort as those pairs do.  A
     class's index is its q**0 term, so keys[j] is (0, the class).  rows
     yields one (lam's index, {mu's index: {t: nonzero coefficient}}) per
-    basis class lam, lam and the mu of each row in basis order.  An entry
-    may be the very dict that another row holds for the same unordered pair,
-    so callers read entries and never change them.
+    basis class lam, lam and the mu of each row in basis order, and each
+    entry's terms t ascending, the order in which they print.  Off the
+    diagonal, an entry is the very dict that the other row holds for the
+    same unordered pair, so it is sorted once, and callers read entries and
+    never change them.
 
     The rows come from quantum Pieri alone (Bertram).  With mu = (a, rest),
     Pieri gives s[a] * s[rest] = s[mu] + (classes of the same weight with
@@ -398,11 +446,12 @@ def indexed_table(space: Grassmannian) -> tuple[
     then by first row descending, the entry for mu is s[a] * (s[lam] *
     s[rest]) minus s[lam] times the other terms of s[a] * s[rest].  Every
     Pieri coefficient is 1, so each Pieri product is memoized as the tuple
-    of its term ints.  Products commute, so row lam computes only the mu at
-    or after lam in basis order; the entry it computes for a later mu waits
-    in a store until row mu starts, where it is the entry for lam.  When the
-    k-th row (from 0) starts, the store holds k * (size - k) entries, at
-    most a quarter of the table.  The memo and the store live and die with
+    of its term ints, read from quantum_pieri's two shape lists with no
+    QuantumClass and no box check.  Products commute, so row lam computes
+    only the mu at or after lam in basis order; the entry it computes for a
+    later mu waits in a store until row mu starts, where it is the entry for
+    lam.  When the k-th row (from 0) starts, the store holds k * (size - k)
+    entries, at most a quarter of the table.  The memo and the store live and die with
     one call.  It runs neither LR nor rim-hook reduction, so it and
     quantum_product check each other."""
     m, n = space.m, space.n
@@ -414,14 +463,19 @@ def indexed_table(space: Grassmannian) -> tuple[
 
 
 def _indexed_rows(space, basis, names):
+    _, m, n = space
     size = len(names)
     index = {p: j for j, p in enumerate(names)}
-    memo = [[None] * size for _ in range(space.box_cols + 1)]  # memo[a][j]: s[a] * s[names[j]]
+    memo = [[None] * size for _ in range(n - m + 1)]  # memo[a][j]: s[a] * s[names[j]]
 
     def pieri(a: int, j: int) -> tuple[int, ...]:
-        found = memo[a][j] = tuple(
-            d * size + index[p] for d, p in quantum_pieri(a, names[j], space).terms
-        )
+        """s[a] * s[names[j]] as quantum_pieri's terms, each as its int."""
+        lam = names[j]
+        target = weight(lam) + a
+        found = [index[mu] for mu in _pieri_classical_shapes(lam, m, n - m, target)]
+        if target >= n:
+            found += [size + index[nu] for nu in _pieri_quantum_shapes(lam, m, target - n)]
+        found = memo[a][j] = tuple(found)
         return found
 
     # for each mu past the unit: its index, a, the memo of s[a], rest's index,
@@ -451,7 +505,7 @@ def _indexed_rows(space, basis, names):
                 for t, c in row[k].items():
                     key = t + shift
                     terms[key] = terms.get(key, 0) - c
-            row[own] = entry = {t: c for t, c in terms.items() if c}
+            row[own] = entry = {t: c for t in sorted(terms) if (c := terms[t])}
             if own != j:
                 pending[own][j] = entry
         yield j, row

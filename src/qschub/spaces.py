@@ -19,6 +19,13 @@ from .errors import BoxError, DegreeRangeError, UnsupportedFamilyError
 from .partitions import Partition, dual_in_box, enumerate_box, fits_in_box, format_partition
 
 _FAMILIES = frozenset("ABCD")
+# the m each family allows, in the numbers its notation shows
+_M_RANGES = {
+    "A": "G(m,n) needs 1 <= m <= n-1",
+    "B": "OG(m,N) with N odd needs 1 <= m <= (N-1)/2",
+    "C": "IG(m,N) needs 1 <= m <= N/2",
+    "D": "OG(m,N) with N even needs 1 <= m <= N/2",
+}
 
 
 class MoreThan(int):
@@ -41,6 +48,8 @@ class Grassmannian(namedtuple("Grassmannian", "family m n")):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         hi = {"A": self.n - 1, "B": self.n, "C": self.n, "D": self.n + 1}[self.family]
+        if hi < 1:  # no m fits: name the space in its notation, not by the internal n
+            raise ValueError(f"{self.notation} names no space: {_M_RANGES[self.family]}")
         if not 1 <= self.m <= hi:
             raise ValueError(
                 f"family {self.family} requires 1 <= m <= {hi}, got m={self.m}, n={self.n}"

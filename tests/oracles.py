@@ -13,6 +13,9 @@ removal order is tried.  This shares nothing with the library's abacus.
 The shapes of a box are listed from multisets of row lengths and put in the
 basis order by one global sort, not weight by weight.
 
+Quantum Pieri products keep, from every shape of the box of the right
+weight, those the cell-by-cell strip test accepts, with no strip bounds.
+
 The plane counts N_d are recomputed by the textbook Kontsevich recursion,
 one math.comb call per term and every ordered split a + b = d, with no row
 of binomials and no pairing of a with b.
@@ -126,6 +129,22 @@ def horizontal_strip_oracle(inner, outer):
         if boxes > 1:
             return False
     return True
+
+
+def quantum_pieri_oracle(p, lam, m, n):
+    """s[p] * s[lam] on G(m, n) by Bertram's rule as {(q power, shape): 1}:
+    each box shape mu of weight |lam| + p with mu/lam a horizontal strip,
+    then, when lam has m rows, each nu of weight |lam| + p - n with
+    (lam - 1^m)/nu one, both in box_oracle's order."""
+    target = sum(lam) + p
+    shapes = box_oracle(m, n - m)
+    terms = {(0, mu): 1 for mu in shapes
+             if sum(mu) == target and horizontal_strip_oracle(lam, mu)}
+    if len(lam) == m:
+        shifted = tuple(x - 1 for x in lam)
+        terms.update(((1, nu), 1) for nu in shapes
+                     if sum(nu) == target - n and horizontal_strip_oracle(nu, shifted))
+    return terms
 
 
 def removable_hooks(nu, strip_size):

@@ -183,6 +183,21 @@ def test_parse_errors_exit_2(capsys):
         assert len(err.strip().splitlines()) == 1, argv
 
 
+@pytest.mark.parametrize("space, rule", [
+    ("G(1,1)", "G(m,n) needs 1 <= m <= n-1"),
+    ("G(0,0)", "G(m,n) needs 1 <= m <= n-1"),
+    ("G(1,0)", "G(m,n) needs 1 <= m <= n-1"),
+    ("OG(1,0)", "OG(m,N) with N even needs 1 <= m <= N/2"),
+    ("OG(1,1)", "OG(m,N) with N odd needs 1 <= m <= (N-1)/2"),
+    ("IG(1,0)", "IG(m,N) needs 1 <= m <= N/2"),
+])
+def test_a_space_with_no_valid_m_is_named_as_typed(capsys, space, rule):
+    # no m fits, so the error names the space and its rule, not an empty
+    # range of the internal n
+    code, out, err = run(capsys, "info", space)
+    assert (code, out, err) == (2, "", f"error: {space} names no space: {rule}\n")
+
+
 def test_negative_degree_names_the_input(capsys):
     code, _, err = run(capsys, "gw", "G(2,4)", "-d", "-1", "2,2", "1,1", "2")
     assert (code, err) == (2, "error: degree must be >= 0, got -1\n")

@@ -23,7 +23,9 @@ from qschub.quantum import (
 )
 from qschub.spaces import grassmannian, parse_space
 
-from oracles import remove_rim_hook, removable_hooks, rim_hook_reduce_oracle
+from oracles import (
+    quantum_pieri_oracle, remove_rim_hook, removable_hooks, rim_hook_reduce_oracle,
+)
 
 G24 = grassmannian(2, 4)
 G25 = grassmannian(2, 5)
@@ -297,6 +299,30 @@ def test_quantum_pieri_in_a_deep_box():
     assert quantum_pieri(1, (1,) * 1999, grassmannian(1999, 2000)).terms == {(1, ()): 1}
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_quantum_pieri_matches_the_strip_oracle_in_order(n):
+    # every (p, lam) of every G(m, n), n <= 9: the strip bounds give the
+    # shapes the cell-by-cell strip test keeps, in the same order
+    for m in range(1, n):
+        space = grassmannian(m, n)
+        for lam in space.basis():
+            for p in range(1, n - m + 1):
+                expected = quantum_pieri_oracle(p, lam, m, n)
+                terms = quantum_pieri(p, lam, space).terms
+                assert list(terms.items()) == list(expected.items()), (m, n, p, lam)
+
+
+def test_quantum_pieri_on_a_wide_box():
+    # G(1,2000): one row of 1,999 boxes, so each product has one term,
+    # q-shifted once the row overflows
+    space = grassmannian(1, 2000)
+    assert quantum_pieri(5, (10,), space).terms == {(0, (15,)): 1}
+    assert quantum_pieri(1999, (1999,), space).terms == {(1, (1998,)): 1}
+    assert quantum_pieri(1, (1999,), space).terms == {(1, ()): 1}
+    for p, lam in [(1, ()), (1000, (999,)), (1000, (1000,)), (1998, (2,))]:
+        assert quantum_pieri(p, lam, space).terms == quantum_pieri_oracle(p, lam, 1, 2000)
+
+
 def test_quantum_pieri_validates():
     with pytest.raises(ValueError):
         quantum_pieri(3, (1,), G24)
@@ -328,6 +354,15 @@ def test_product_table_matches_quantum_product_on_every_pair(space):
         assert list(row) == basis
         for mu, terms in row.items():
             assert terms == quantum_product(lam, mu, space).terms, (lam, mu)
+
+
+@pytest.mark.parametrize("space", [G37, grassmannian(4, 7)])
+def test_indexed_table_entries_list_their_terms_in_ascending_order(space):
+    # the renderers print an entry's terms as they come, with no sort
+    _, rows = quantum.indexed_table(space)
+    for _, row in rows:
+        for terms in row.values():
+            assert list(terms) == sorted(terms)
 
 
 def test_product_table_entries_share_nothing():
