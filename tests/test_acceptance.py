@@ -2,30 +2,19 @@
 PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s` to see the
 lines as they go by."""
 
-import os
-import random
 import subprocess
 import sys
 import time
-from itertools import combinations_with_replacement
-from pathlib import Path
 
-import qschub
 from qschub import quantum
-from qschub.counting import CountProblem, rational_curve_count
-from qschub.errors import NotComputableError
 from qschub.gromov_witten import gw_3point
-from qschub.partitions import is_k_strict, partitions_of_weight, weight
+from qschub.partitions import is_k_strict, partitions_of_weight
 from qschub.plane_curves import kontsevich_nd, nd_values, reset_cache
-from qschub.quantum import (
-    QuantumClass,
-    quantum_pieri,
-    quantum_product,
-    rim_hook_reduce,
-)
-from qschub.selfcheck import run_selfcheck
+from qschub.quantum import quantum_pieri, quantum_product, rim_hook_reduce
+from qschub.selfcheck import check_divisor_rule, check_products, check_triples
 from qschub.spaces import grassmannian, parse_space
 
+from mutants import chain_without_last_bound, failing_quick_suites, flipped_reduction_sign, mutant
 from oracles import rim_hook_reduce_oracle
 
 G24 = grassmannian(2, 4)
@@ -39,12 +28,8 @@ def _report(num: int, ok: bool, label: str) -> None:
     assert ok, f"criterion {num}: {label}"
 
 
-def _cold_caches() -> None:
-    quantum.clear_cache()
-
-
 def test_criterion_1_golden_table_g24():
-    _cold_caches()
+    quantum.clear_cache()
     start = time.perf_counter()
     golden = {
         ((1,), (1,)): {(0, (2,)): 1, (0, (1, 1)): 1},
@@ -69,47 +54,21 @@ def test_criterion_1_golden_table_g24():
     _report(1, ok, f"QH*(G(2,4)) golden table with Pieri cross-path ({elapsed:.3f}s)")
 
 
-def _associative(space, a, b, c) -> bool:
-    left = quantum_product(a, b, space) * QuantumClass.from_partition(space, c)
-    right = QuantumClass.from_partition(space, a) * quantum_product(b, c, space)
-    return left == right
-
-
 def test_criterion_2_associativity():
+    # every triple of G(2,4) and G(1,3), 500 sampled on each of G(2,5) and
+    # G(3,6), and the S_3 symmetry of the three-point invariants it reads
     start = time.perf_counter()
-    checked = 0
-    ok = True
-    for space in (G24, P2):
-        basis = space.basis()
-        for a in basis:
-            for b in basis:
-                for c in basis:
-                    ok = ok and _associative(space, a, b, c)
-                    checked += 1
-    rng = random.Random(31415)
-    for space in (G25, G36):
-        basis = space.basis()
-        for _ in range(200):
-            a, b, c = (rng.choice(basis) for _ in range(3))
-            ok = ok and _associative(space, a, b, c)
-            checked += 1
+    associativity, symmetry = check_triples((G25, G36))
     elapsed = time.perf_counter() - start
-    ok = ok and checked == 216 + 27 + 400 and elapsed < 30.0
-    _report(2, ok, f"associativity on {checked} triples ({elapsed:.2f}s)")
+    ok = associativity.ok and symmetry.ok and associativity.checks == 216 + 27 + 2 * 500
+    ok = ok and elapsed < 30.0
+    _report(2, ok, f"associativity on {associativity.checks} triples ({elapsed:.2f}s)")
 
 
 def test_criterion_3_positivity_and_grading():
-    ok = True
-    checked = 0
-    for space in (G24, G25, G36, grassmannian(1, 4)):
-        basis = space.basis()
-        for lam, mu in combinations_with_replacement(basis, 2):
-            total = weight(lam) + weight(mu)
-            terms = quantum_product(lam, mu, space).sorted_terms()
-            for d, nu, coeff in terms:
-                ok = ok and coeff > 0 and weight(nu) + d * space.n == total
-                checked += 1
-    _report(3, ok, f"positivity + grading on {checked} product terms")
+    suites = {s.name: s for s in check_products((G24, G25, G36, grassmannian(1, 4)))}
+    ok = all(s.ok for s in suites.values())
+    _report(3, ok, f"positivity + grading on {suites['grading'].checks} product terms")
 
 
 def test_criterion_4_rim_hook_order_independence():
@@ -141,33 +100,11 @@ def test_criterion_5_plane_curve_sequence():
 
 
 def test_criterion_6_divisibility_sweep():
-    ok = True
-    solved = 0
-    for space in (G24, G25, P2):
-        basis = space.basis()
-        for degree in (1, 2, 3):
-            for s in range(1, 6):
-                target = space.moduli_dimension(s, degree)
-                for combo in combinations_with_replacement(basis, s):
-                    if sum(weight(p) for p in combo) != target:
-                        continue
-                    try:
-                        base = rational_curve_count(
-                            CountProblem(space, degree, combo)
-                        )
-                    except NotComputableError:
-                        continue
-                    scale = degree**base.divisor_conditions
-                    ok = ok and base.gw_value % scale == 0
-                    ok = ok and base.gw_value == scale * base.curve_count
-                    more = rational_curve_count(
-                        CountProblem(space, degree, combo + ((1,),))
-                    )
-                    ok = ok and more.gw_value == degree * base.gw_value
-                    ok = ok and more.curve_count == base.curve_count
-                    solved += 1
-    ok = ok and solved > 0
-    _report(6, ok, f"d^r divisibility and divisor append on {solved} problems")
+    # G(2,4), G(2,5), G(1,3); d <= 3; 1-5 conditions.  rational_curve_count
+    # raises unless d^r divides the invariant, and the suite fails on a raise
+    res = check_divisor_rule((G24, G25, P2), 3, range(1, 6))
+    _report(6, res.ok and res.checks > 0,
+            f"d^r divisibility and divisor append on {res.checks} problems")
 
 
 def test_criterion_7_cross_path_counts(capsys):
@@ -219,48 +156,21 @@ def test_criterion_8_formula_table():
     _report(8, ok, "critical degree, kernel/span, and 20-case k-strict table")
 
 
-def test_criterion_9_selfcheck(monkeypatch):
-    # the child runs the same qschub these tests import, installed or not
-    src = str(Path(qschub.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+def test_criterion_9_selfcheck(child_env):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "qschub", "selfcheck", "quick"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env,
     )
     elapsed = time.perf_counter() - start
     ok = proc.returncode == 0 and elapsed < 10.0 and "PASS" in proc.stdout
 
-    # a flipped rim-hook sign must make the quick suites fail
-    quantum.clear_cache()
-    monkeypatch.setattr(
-        quantum, "_reduction_sign", lambda m, q_power, passes: -1 if passes % 2 else 1
-    )
-    failing = {suite.name for suite in run_selfcheck("quick") if not suite.ok}
-    ok = ok and {"positivity", "dual_path"} <= failing
-    monkeypatch.undo()
-    quantum.clear_cache()
-
-    # a Pieri chain missing the last-row bound must make dual_path fail
-    def chain_without_last_bound(lam, rows, target):
-        padded = list(lam) + [0] * (rows - len(lam))
-
-        def rec(i, remaining, prefix):
-            if i == rows:
-                if remaining == 0:
-                    yield tuple(x for x in prefix if x)
-                return
-            hi = min(padded[i] - 1 if i < rows - 1 else padded[i], remaining)
-            lo = max(padded[i + 1] - 1, 0) if i + 1 < rows else 0
-            for v in range(hi, lo - 1, -1):
-                yield from rec(i + 1, remaining - v, prefix + (v,))
-
-        yield from rec(0, target, ())
-
-    monkeypatch.setattr(quantum, "_pieri_quantum_shapes", chain_without_last_bound)
-    failing = {suite.name for suite in run_selfcheck("quick") if not suite.ok}
-    ok = ok and "dual_path" in failing
-    monkeypatch.undo()
+    # a flipped rim-hook sign must make the quick suites fail, and a Pieri
+    # chain missing the last-row bound must make dual_path fail
+    with mutant("_reduction_sign", flipped_reduction_sign):
+        ok = ok and {"positivity", "dual_path"} <= failing_quick_suites()
+    with mutant("_pieri_quantum_shapes", chain_without_last_bound):
+        ok = ok and "dual_path" in failing_quick_suites()
     _report(9, ok, f"selfcheck quick cold run in {elapsed:.2f}s; mutations detected")

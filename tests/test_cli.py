@@ -704,6 +704,25 @@ def test_json_and_text_encode_identical_data(capsys, argv):
     assert rebuilt == text_out
 
 
+def test_selfcheck_lists_each_failing_suite_and_exits_1(capsys, monkeypatch):
+    # the text names at most five failures of a suite; the JSON counts them all
+    from qschub import selfcheck
+
+    failures = [f"case {i}" for i in range(7)]
+    monkeypatch.setattr(selfcheck, "run_selfcheck", lambda level: [
+        selfcheck.SuiteResult("unit", 9), selfcheck.SuiteResult("grading", 30, failures)])
+    code, out, err = run(capsys, "selfcheck", "quick")
+    assert (code, err) == (1, "")
+    assert out == ("ok unit: 9 checks\nFAIL grading: 7 of 30 failed\n"
+                   + "".join(f"  case {i}\n" for i in range(5)) + "selfcheck quick: FAIL\n")
+    code, out, err = run(capsys, "selfcheck", "full", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["result"] == {"level": "full", "ok": False, "suites": [
+        {"name": "unit", "checks": 9, "failed": 0, "failures": []},
+        {"name": "grading", "checks": 30, "failed": 7, "failures": failures[:5]},
+    ]}
+
+
 _FUZZ_SPACES = st.sampled_from(
     ["G(2,4)", "G(1,3)", "G(3,3)", "G(0,3)", "G(4,2)", "IG(2,5)", "IG(2,6)", "OG(1,2)",
      "OG(3,9)", "G(2", "H(2,4)", "x"]

@@ -61,10 +61,6 @@ def test_divisibility_and_divisor_append(space):
                 continue
             # exact divisibility is asserted inside; re-check the identity
             assert base.gw_value == degree**base.divisor_conditions * base.curve_count
-            extended = CountProblem(
-                space, degree, problem.conditions + ((1,),)
-            )
-            more = rational_curve_count(extended)
-            assert more.gw_value == degree * base.gw_value
-            assert more.divisor_conditions == base.divisor_conditions + 1
-            assert more.curve_count == base.curve_count
+            # selfcheck's divisor_rule checks the appended problem's value and count
+            extended = CountProblem(space, degree, problem.conditions + ((1,),))
+            assert rational_curve_count(extended).divisor_conditions == base.divisor_conditions + 1

@@ -50,6 +50,7 @@ def test_schur_product_examples():
     assert schur_product((1,), (1,), 2) == {(2,): 1, (1, 1): 1}
     assert schur_product((1,), (1,), 1) == {(2,): 1}
     assert schur_product((2,), (2,), 2) == {(4,): 1, (3, 1): 1, (2, 2): 1}
+    assert schur_product((1, 1, 1), (1,), 2) == {}  # the base shape has too many rows
 
 
 def test_deep_box_costs_no_call_depth():

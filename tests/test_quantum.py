@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qschub import quantum
 from qschub.errors import BoxError, UnsupportedFamilyError
 from qschub.gromov_witten import gw_3point
-from qschub.lr import classical_structure_constants, schur_product
+from qschub.lr import schur_product
 from qschub.partitions import partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
@@ -330,16 +330,6 @@ def test_quantum_pieri_validates():
         quantum_pieri(1, (3,), G24)
 
 
-# G(1,6), G(4,6) and G(5,8) are one-row and tall: lam_1 - 1 bounds the q
-# half's shapes there, and lam often has fewer than m parts
-@pytest.mark.parametrize("space", [G24, G25, G36, grassmannian(2, 6), grassmannian(1, 6),
-                                   grassmannian(4, 6), grassmannian(5, 8)])
-def test_dual_path_equality(space):
-    for p in range(1, space.box_cols + 1):
-        for lam in space.basis():
-            assert quantum_pieri(p, lam, space) == quantum_product((p,), lam, space)
-
-
 # G(1,12) and G(11,12) are one row and one column: there the Pieri memo
 # holds every (a, class) pair or only a = 1, and the store of entries that
 # wait for later rows is as large or as small as it gets
@@ -389,55 +379,6 @@ def test_product_table_matches_quantum_product_on_sampled_pairs_of_g49():
         assert rows[lam][mu] == quantum_product(lam, mu, space).terms, (lam, mu)
 
 
-def test_unit_and_commutativity():
-    for space in (G24, G25, P2, grassmannian(1, 4)):
-        basis = space.basis()
-        for lam in basis:
-            assert quantum_product((), lam, space) == QuantumClass.from_partition(space, lam)
-        for lam, mu in combinations_with_replacement(basis, 2):
-            assert quantum_product(lam, mu, space) == quantum_product(mu, lam, space)
-
-
-@pytest.mark.parametrize("space", [G24, G25, G36, P2, grassmannian(1, 4)])
-def test_positivity_and_grading(space):
-    for lam, mu in combinations_with_replacement(space.basis(), 2):
-        product = quantum_product(lam, mu, space)
-        total = weight(lam) + weight(mu)
-        for d, nu, coeff in product.sorted_terms():
-            assert coeff > 0
-            assert weight(nu) + d * space.n == total
-            assert space.in_box(nu)
-            assert d <= total // space.n
-
-
-def test_classical_layer_matches_lr():
-    for space in (G24, G25):
-        for lam, mu in combinations_with_replacement(space.basis(), 2):
-            assert quantum_product(lam, mu, space).q_part(
-                0
-            ) == classical_structure_constants(space, lam, mu)
-
-
-def test_associativity_exhaustive_g24():
-    basis = G24.basis()
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                left = quantum_product(a, b, G24) * QuantumClass.from_partition(G24, c)
-                right = QuantumClass.from_partition(G24, a) * quantum_product(b, c, G24)
-                assert left == right
-
-
-def test_associativity_random_g36():
-    rng = random.Random(7)
-    basis = G36.basis()
-    for _ in range(50):
-        a, b, c = (rng.choice(basis) for _ in range(3))
-        left = quantum_product(a, b, G36) * QuantumClass.from_partition(G36, c)
-        right = QuantumClass.from_partition(G36, a) * quantum_product(b, c, G36)
-        assert left == right
-
-
 def test_quantum_class_algebra():
     one = QuantumClass.unit(G24)
     s1 = QuantumClass.from_partition(G24, (1,))
@@ -446,6 +387,8 @@ def test_quantum_class_algebra():
     assert (s1 * s1).terms == {(0, (2,)): 1, (0, (1, 1)): 1}
     with pytest.raises(ValueError):
         s1 + QuantumClass.unit(P2)
+    with pytest.raises(ValueError, match="^cannot multiply classes on different spaces$"):
+        s1 * QuantumClass.unit(P2)
 
 
 def test_adding_a_non_class_raises_type_error():
@@ -454,6 +397,15 @@ def test_adding_a_non_class_raises_type_error():
         s1 + 1
     with pytest.raises(TypeError):
         1 + s1
+
+
+def test_multiplying_by_a_non_class_raises_type_error():
+    s1 = QuantumClass.from_partition(G24, (1,))
+    for other in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            s1 * other
+        with pytest.raises(TypeError):
+            other * s1
 
 
 @st.composite
