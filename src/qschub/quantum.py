@@ -16,14 +16,12 @@ a horizontal strip of size n - m - p, every coefficient 1.  Each list is
 built straight from its strip bounds, lam_i <= mu_i <= min(lam_(i-1), n - m)
 and lam_(i+1) - 1 <= nu_i <= lam_i - 1, in basis order.  Each row is built
 from Pieri steps alone, which is cheap for a whole row but pulls in most of
-a row for one product.  The table numbers the basis once and writes the
-term q**d * s[p] as the int d * (basis size) + (p's index), so its inner
-loops add and hash ints, and each entry lists its terms in ascending order;
-each row computes only the products with classes at or after its own in
-basis order, and takes the rest from the rows before it, since products
-commute.  Rows are yielded one at a time so that a table is rendered as it
-is built.  The two paths share no code, and selfcheck compares them on
-every pair it visits.
+a row for one product.  The table numbers its basis once, to the ints
+below, and lists each entry's terms in ascending order; each row computes
+only the products with classes at or after its own in basis order, and
+takes the rest from the rows before it, since products commute.  Rows are
+yielded one at a time so that a table is rendered as it is built.  The two
+paths share no code, and selfcheck compares them on every pair it visits.
 
 A single product is read from the product of the lightest classes of its
 factors' Seidel orbits.  Quantum Pieri gives s[n-m] * s[lam] a single term,
@@ -43,25 +41,34 @@ with the rows of the box.  The expansion grows one letter per row of its
 content, the second factor of schur_product, so the factor of fewer rows
 (after the conjugation), then the lighter, is the content.
 
+Records, classes and table entries write q**d s[p] as the int t = d * C(n, m)
++ rank(p), so their dicts add and hash ints.  rank(p), the sum over rows i
+(from 0) of C(m - 1 - i + p_i, p_i - 1), is p's position in tuple order among
+the partitions of at most m rows (C(m - 1 + x, m) have a first row below x).
+It ignores the width of the box, so no space lists its basis to multiply,
+and the ints sort as the pairs (d, p) do.  _NUMBERINGS memoizes it per space,
+both ways.  A class is box-checked when made: s[4] on G(2,5) would alias
+q s[0] (t = 10).  Its ints never change, so a warm quantum_product holds the
+cached record itself, and QuantumClass.terms decodes a new dict per read.
+
 Products commute, so s[lam] * s[mu] and s[mu] * s[lam] are one cached
-record, and _product_terms alone knows its order and format: a record is
-read in either order and box-checked in the order given, where it is built,
-and nowhere else on the product path.  Readers pass their pair as they have
-it.  Whether a class fits the box depends only on the class and the space,
-both part of the cache key, so every cached key is in the box: a warm
-quantum_product or class product makes no check at all, and a pair out of
-the box never gets a record, so it raises on every call, warm or cold.  A
-class product reads many pairs, so on that raise QuantumClass.__mul__ checks
-its terms again, the left factor's before the right's.  Invariants check all
-their classes in one call (gromov_witten.gw_spoint), since the dual class
-and the N_d route never reach a record.
+record, and _product_terms alone knows its order: a record is read in either
+order and box-checked in the order given, where it is built.  Readers pass
+their pair as they have it.  Whether a class fits the box depends only on
+the class and the space, both part of the cache key, so every cached key is
+in the box: a warm quantum_product or class product makes no check at all,
+and a pair out of the box never gets a record, so it raises on every call,
+warm or cold.  Invariants check all their classes in one call
+(gromov_witten.gw_spoint), since the dual class and the N_d route never
+reach a record.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from math import comb
 
-from .errors import BoxError, UnsupportedFamilyError
+from .errors import BoxError
 from .lr import schur_product
 from .partitions import (
     Partition, box_complement, conjugate, format_partition, weight,
@@ -121,44 +128,85 @@ def rim_hook_reduce(nu: Partition, space: Grassmannian) -> ReductionOutcome | No
     return ReductionOutcome(q_power, _reduction_sign(m, q_power, passes), _from_beads(runners))
 
 
+class _Numbering(dict):
+    """One space's numbering, filled on a miss: self[p] is the rank of the
+    partition p, self[t] the term (d, p) of the int t.  A term no rank put
+    here (its class outlived clear_cache) is read back: rank r's first row is
+    the largest x with C(m - 1 + x, m) <= r, then r - C(m - 1 + x, m) is the
+    rank of the rest on m - 1 rows."""
+
+    __slots__ = ("m", "size")  # m and C(n, m)
+
+    def __missing__(self, key: Partition | int):
+        if isinstance(key, tuple):
+            rank = self[key] = sum(comb(self.m - 1 - i + x, x - 1) for i, x in enumerate(key))
+            self[rank] = (0, key)
+            return rank
+        d, r = divmod(key, self.size)
+        parts, rows = [], self.m
+        while r and rows and not d:
+            x = 1
+            while comb(rows + x, rows) <= r:
+                x += 1
+            r -= comb(rows - 1 + x, rows)
+            parts.append(x)
+            rows -= 1
+        term = self[key] = (d, self[r][1]) if d else (0, tuple(parts))
+        return term
+
+
+class _Numberings(dict):
+    """{space: its _Numbering}, filled on a miss."""
+
+    def __missing__(self, space: Grassmannian) -> _Numbering:
+        numbering = self[space] = _Numbering()
+        numbering.m, numbering.size = space.m, comb(space.n, space.m)
+        return numbering
+
+
+_NUMBERINGS = _Numberings()
+
+
 class QuantumClass:
     """An element of the quantum cohomology ring: an integer combination of
-    pairs (q_power, partition in the box).  Zero coefficients are never
-    stored.  Classes compare by space and terms, and are not hashable.
-    Slotted: a class holds its space and its terms dict, nothing else."""
+    terms q**d s[p], box-checked term by term when made, and held as {int t:
+    nonzero coefficient} (see the module docstring).  `terms` is a new
+    {(q power, partition): coefficient} dict per read: writing to it changes
+    nothing.  Classes compare by space and terms, are not hashable, and hold
+    their space and int terms alone (slotted)."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "_terms")
 
     def __init__(self, space: Grassmannian, terms: dict[tuple[int, Partition], int] | None = None):
-        self.space = space
-        self.terms = {key: c for key, c in (terms or {}).items() if c}
+        space.require_in_box(*[p for _, p in terms or ()])
+        self.space, numbering = space, _NUMBERINGS[space]
+        self._terms = {d * numbering.size + numbering[p]: c
+                       for (d, p), c in (terms or {}).items() if c}
+
+    @property
+    def terms(self) -> dict[tuple[int, Partition], int]:
+        numbering = _NUMBERINGS[self.space]
+        return {numbering[t]: c for t, c in self._terms.items()}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.space, self.terms) == (other.space, other.terms)
+        return (self.space, self._terms) == (other.space, other._terms)
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(space={self.space!r}, terms={self.terms!r})"
 
     @classmethod
-    def _nonzero(cls, space: Grassmannian, terms: dict) -> "QuantumClass":
-        """A class that takes terms known to hold no zero coefficient as
-        they are, without __init__'s filter."""
-        self = object.__new__(cls)
-        self.space, self.terms = space, terms
-        return self
-
-    @classmethod
     def from_partition(cls, space: Grassmannian, p: Partition) -> "QuantumClass":
         space.require_in_box(p)
-        return cls._nonzero(space, {(0, p): 1})
+        return _wrap(space, {_NUMBERINGS[space][p]: 1})
 
     @classmethod
     def unit(cls, space: Grassmannian) -> "QuantumClass":
         return cls.from_partition(space, ())
 
     def coefficient(self, q_power: int, p: Partition) -> int:
+        """The coefficient of q**q_power s[p], decoded: 0 for p out of the box."""
         return self.terms.get((q_power, p), 0)
 
     def q_part(self, q_power: int) -> dict[Partition, int]:
@@ -166,67 +214,61 @@ class QuantumClass:
         return {p: c for (d, p), c in self.terms.items() if d == q_power}
 
     def sorted_terms(self) -> list[tuple[int, Partition, int]]:
-        return [(d, p, self.terms[(d, p)]) for d, p in sorted(self.terms)]
+        return [(d, p, c) for (d, p), c in sorted(self.terms.items())]
 
     def __add__(self, other):
         if not isinstance(other, QuantumClass):
             return NotImplemented
         if self.space != other.space:
             raise ValueError("cannot add classes on different spaces")
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, 0) + c
-        return QuantumClass(self.space, merged)
+        merged = Counter(self._terms)
+        merged.update(other._terms)
+        return _wrap(self.space, {t: c for t, c in merged.items() if c})
 
     def __mul__(self, other):
         """The product with an integer or with another class.  Each pair of
-        terms reads the Schubert product _product_terms caches, in the
-        order the terms come, with no QuantumClass built per pair.  A term
-        out of the box raises where its record would be built (a cached
-        record is always of classes in the box); the terms are then checked
-        in order, the left factor's then the right's, so the error names the
-        first of them out of the box, whichever pair was read first.  A pair
-        with no q shift adds the record's own keys, the first pair (scale 1,
-        no shift) is copied whole, and zeros are dropped only if some sum
-        reached 0."""
+        terms reads the record _product_terms caches, in the order they come,
+        and adds its ints shifted by the pair's q powers; the first pair (scale
+        1, no shift) is copied whole, zeros dropped only if some sum reached 0."""
         if isinstance(other, int):
-            return QuantumClass(self.space, {k: other * c for k, c in self.terms.items()})
+            return _wrap(self.space, {t: other * c for t, c in self._terms.items() if other})
         if not isinstance(other, QuantumClass):
             return NotImplemented
         space = self.space
         if space != other.space:
             raise ValueError("cannot multiply classes on different spaces")
-        out: dict[tuple[int, Partition], int] = {}
+        numbering = _NUMBERINGS[space]
+        out: dict[int, int] = {}
         cancelled = False
-        try:
-            for (d1, p1), c1 in self.terms.items():
-                for (d2, p2), c2 in other.terms.items():
-                    shift, scale = d1 + d2, c1 * c2
-                    record = _product_terms(p1, p2, space)
-                    if shift:
-                        for (d, p), c in record.items():
-                            key = (d + shift, p)
-                            total = out[key] = out.get(key, 0) + scale * c
-                            if not total:
-                                cancelled = True
-                    elif scale == 1 and not out:
-                        out.update(record)
-                    else:
-                        for key, c in record.items():
-                            total = out[key] = out.get(key, 0) + scale * c
-                            if not total:
-                                cancelled = True
-        except (BoxError, UnsupportedFamilyError):
-            space.require_in_box(*[p for _, p in self.terms], *[p for _, p in other.terms])
-            raise
+        for t1, c1 in self._terms.items():
+            d1, p1 = numbering[t1]
+            for t2, c2 in other._terms.items():
+                d2, p2 = numbering[t2]
+                scale, shift = c1 * c2, (d1 + d2) * numbering.size
+                record = _product_terms(p1, p2, space)
+                if scale == 1 and not shift and not out:
+                    out.update(record)
+                    continue
+                for t, c in record.items():
+                    t += shift
+                    total = out[t] = out.get(t, 0) + scale * c
+                    if not total:
+                        cancelled = True
         if cancelled:
-            out = {key: c for key, c in out.items() if c}
-        return QuantumClass._nonzero(space, out)
+            out = {t: c for t, c in out.items() if c}
+        return _wrap(space, out)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         return format_terms((d, format_partition(p), c) for d, p, c in self.sorted_terms())
+
+
+def _wrap(space: Grassmannian, terms: dict[int, int]) -> QuantumClass:
+    """A class over int terms that are nonzero and in the box, held as given."""
+    self = object.__new__(QuantumClass)
+    self.space, self._terms = space, terms
+    return self
 
 
 def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
@@ -269,8 +311,8 @@ def _lightest(lam: Partition, m: int, n: int) -> tuple[Partition, int]:
 
 @lru_cache(maxsize=1 << 16)
 def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
-    """s[lam] * s[mu] as {(q power, partition): nonzero coefficient}, keys
-    sorted: the cached record itself, which callers read and never change.
+    """s[lam] * s[mu] as {int term: nonzero coefficient}, ints ascending: the
+    cached record itself, which callers read and never change.
     This is the one place a record is built.  The pair is read in either
     order and box-checked in the order given, before anything else: the
     check depends only on the pair and the space, both in the cache key, so
@@ -287,24 +329,27 @@ def _product_terms(lam: Partition, mu: Partition, space: Grassmannian):
     if mu < lam:
         return _product_terms(mu, lam, space)
     _, m, n = space
+    numbering = _NUMBERINGS[space]
     a, i = _lightest(lam, m, n)
     b, j = _lightest(mu, m, n)
     if (a, b) != (lam, mu):
         total = weight(lam) + weight(mu)
         terms = {}
-        for (_, nu), c in _product_terms(a, b, space).items():
+        for t, c in _product_terms(a, b, space).items():
+            nu = numbering[t][1]
             p = _from_beads([(beta + i + j) % n for beta in _beta_numbers(nu, m)])
             d, rest = divmod(total - weight(p), n)
             if rest or d < 0:
                 raise RuntimeError(f"Seidel relabel of s[{format_partition(nu)}] gave q power "
                                    f"{total - weight(p)}/{n}; this is a bug")
             terms[(d, p)] = c
-        return dict(sorted(terms.items()))
-    if 2 * m > n:
+    elif 2 * m > n:
         short = _reduced_terms(*_content_last(conjugate(lam), conjugate(mu)),
                                Grassmannian("A", n - m, n))
-        return dict(sorted(((d, conjugate(p)), c) for (d, p), c in short.items()))
-    return dict(sorted(_reduced_terms(*_content_last(lam, mu), space).items()))
+        terms = {(d, conjugate(p)): c for (d, p), c in short.items()}
+    else:
+        terms = _reduced_terms(*_content_last(lam, mu), space)
+    return dict(sorted((d * numbering.size + numbering[p], c) for (d, p), c in terms.items()))
 
 
 def _content_last(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
@@ -333,10 +378,10 @@ def quantum_product(lam: Partition, mu: Partition, space: Grassmannian) -> Quant
     of the classical expansion.  All surviving coefficients are genus-zero
     three-point Gromov-Witten invariants, hence positive.  For a whole
     multiplication table use product_table, the Pieri path that checks
-    this one.  The record is read in either order and box-checked in the
-    order given, where it is built: a warm product checks nothing, and the
-    error names lam when both are out of the box."""
-    return QuantumClass._nonzero(space, dict(_product_terms(lam, mu, space)))
+    this one.  The class holds the record itself, read in either order and
+    box-checked in the order given, where it is built: a warm product checks
+    and copies nothing, and the error names lam when both are out of the box."""
+    return _wrap(space, _product_terms(lam, mu, space))
 
 
 def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Partition,
@@ -345,7 +390,9 @@ def _structure_constant(space: Grassmannian, a: Partition, b: Partition, c: Part
     product record in either order.  The dual is flipped without a box check
     of c, which the caller has made, and the weights are not tested."""
     _, m, n = space
-    return _product_terms(a, b, space).get((d, box_complement(c, m, n - m)), 0)
+    numbering = _NUMBERINGS[space]
+    return _product_terms(a, b, space).get(
+        d * numbering.size + numbering[box_complement(c, m, n - m)], 0)
 
 
 def _shapes_between(lo: list[int], hi: list[int], total: int) -> Iterator[Partition]:
@@ -419,10 +466,12 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     space.require_in_box(lam)
     _, m, n = space
     target = weight(lam) + p
-    terms = {(0, mu): 1 for mu in _pieri_classical_shapes(lam, m, n - m, target)}
+    numbering = _NUMBERINGS[space]
+    terms = {numbering[mu]: 1 for mu in _pieri_classical_shapes(lam, m, n - m, target)}
     if target >= n:
-        terms.update(((1, nu), 1) for nu in _pieri_quantum_shapes(lam, m, target - n))
-    return QuantumClass._nonzero(space, terms)
+        quantum = _pieri_quantum_shapes(lam, m, target - n)
+        terms.update((numbering.size + numbering[nu], 1) for nu in quantum)
+    return _wrap(space, terms)
 
 
 def indexed_table(space: Grassmannian) -> tuple[
@@ -528,6 +577,7 @@ def product_table(
 
 def clear_cache() -> None:
     _product_terms.cache_clear()
+    _NUMBERINGS.clear()
 
 
 __all__ = [

@@ -19,6 +19,8 @@ weight, those the cell-by-cell strip test accepts, with no strip bounds.
 The plane counts N_d are recomputed by the textbook Kontsevich recursion,
 one math.comb call per term and every ordered split a + b = d, with no row
 of binomials and no pairing of a with b.
+
+GOLDEN_G24 holds six products of QH*(G(2,4)) worked by hand.
 """
 
 from collections import Counter
@@ -202,6 +204,16 @@ def rim_hook_reduce_oracle(nu, m, n):
     if len(core) > m or (core and core[0] > n - m):
         return None
     return d, sign, core
+
+
+GOLDEN_G24 = {
+    ((1,), (1,)): {(0, (2,)): 1, (0, (1, 1)): 1},
+    ((1,), (2, 1)): {(0, (2, 2)): 1, (1, ()): 1},
+    ((1,), (2, 2)): {(1, (1,)): 1},
+    ((2,), (1, 1)): {(1, ()): 1},
+    ((2,), (2,)): {(0, (2, 2)): 1},
+    ((2, 2), (2, 2)): {(2, ()): 1},
+}
 
 
 @lru_cache(maxsize=None)

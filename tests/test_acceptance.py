@@ -15,7 +15,7 @@ from qschub.selfcheck import check_divisor_rule, check_products, check_triples
 from qschub.spaces import grassmannian, parse_space
 
 from mutants import chain_without_last_bound, failing_quick_suites, flipped_reduction_sign, mutant
-from oracles import rim_hook_reduce_oracle
+from oracles import GOLDEN_G24, rim_hook_reduce_oracle
 
 G24 = grassmannian(2, 4)
 G25 = grassmannian(2, 5)
@@ -31,16 +31,8 @@ def _report(num: int, ok: bool, label: str) -> None:
 def test_criterion_1_golden_table_g24():
     quantum.clear_cache()
     start = time.perf_counter()
-    golden = {
-        ((1,), (1,)): {(0, (2,)): 1, (0, (1, 1)): 1},
-        ((1,), (2, 1)): {(0, (2, 2)): 1, (1, ()): 1},
-        ((1,), (2, 2)): {(1, (1,)): 1},
-        ((2,), (1, 1)): {(1, ()): 1},
-        ((2,), (2,)): {(0, (2, 2)): 1},
-        ((2, 2), (2, 2)): {(2, ()): 1},
-    }
     ok = True
-    for (lam, mu), expected in golden.items():
+    for (lam, mu), expected in GOLDEN_G24.items():
         ok = ok and quantum_product(lam, mu, G24).terms == expected
         ok = ok and quantum_product(mu, lam, G24).terms == expected
         # independent confirmation through the Pieri path where one factor

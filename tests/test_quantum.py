@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschub import quantum
+from qschub import partitions, quantum, spaces
 from qschub.errors import BoxError, UnsupportedFamilyError
 from qschub.gromov_witten import gw_3point
 from qschub.lr import schur_product
-from qschub.partitions import partitions_of_weight, weight
+from qschub.partitions import enumerate_box, partitions_of_weight, weight
 from qschub.quantum import (
     QuantumClass,
     ReductionOutcome,
@@ -21,10 +21,10 @@ from qschub.quantum import (
     quantum_product,
     rim_hook_reduce,
 )
-from qschub.spaces import grassmannian, parse_space
+from qschub.spaces import Grassmannian, grassmannian, parse_space
 
 from oracles import (
-    quantum_pieri_oracle, remove_rim_hook, removable_hooks, rim_hook_reduce_oracle,
+    GOLDEN_G24, quantum_pieri_oracle, remove_rim_hook, removable_hooks, rim_hook_reduce_oracle,
 )
 
 G24 = grassmannian(2, 4)
@@ -90,16 +90,6 @@ def test_rim_hook_reduce_matches_cell_oracle(space_and_shape):
     assert rim_hook_reduce(nu, space) == rim_hook_reduce_oracle(nu, space.m, space.n)
 
 
-GOLDEN_G24 = {
-    ((1,), (1,)): {(0, (2,)): 1, (0, (1, 1)): 1},
-    ((1,), (2, 1)): {(0, (2, 2)): 1, (1, ()): 1},
-    ((1,), (2, 2)): {(1, (1,)): 1},
-    ((2,), (1, 1)): {(1, ()): 1},
-    ((2,), (2,)): {(0, (2, 2)): 1},
-    ((2, 2), (2, 2)): {(2, ()): 1},
-}
-
-
 def test_quantum_product_golden_table():
     for (lam, mu), expected in GOLDEN_G24.items():
         assert quantum_product(lam, mu, G24).terms == expected
@@ -111,27 +101,31 @@ def test_quantum_product_p2():
 
 
 def test_quantum_product_returns_its_own_terms():
-    # each call wraps the cached terms in a new dict, with no zero filter
+    # each call wraps the cached record itself, with no copy and no zero
+    # filter; `terms` is a new dict on each read, so writing to it changes
+    # neither the class nor the record
     first = quantum_product((2, 1), (1,), G24)
-    expected = dict(first.terms)
+    expected = first.terms
     first.terms[(0, (1,))] = 5
     del first.terms[(1, ())]
-    second = quantum_product((2, 1), (1,), G24)
-    assert second.terms == expected == {(0, (2, 2)): 1, (1, ()): 1}
-    assert second.terms is not first.terms
-    # the other readers of the cached record still see it as it was
+    assert first.terms is not first.terms
+    second = quantum_product((1,), (2, 1), G24)
+    assert second.terms == first.terms == expected == {(0, (2, 2)): 1, (1, ()): 1}
+    # the record of both orders: G(2,4) has six classes, so q s[0] is the int 6
+    assert second._terms is first._terms is _product_terms((1,), (2, 1), G24) == {5: 1, 6: 1}
+    # the other readers of the cached record see it as it was
     product = QuantumClass.from_partition(G24, (2, 1)) * QuantumClass.from_partition(G24, (1,))
     assert product.terms == expected
     assert gw_3point(G24, (2, 1), (1,), (2, 2), 1) == gw_3point(G24, (2, 1), (1,), (), 0) == 1
-    assert _product_terms((1,), (2, 1), G24) == expected  # the record of both orders
     for space in (G24, G37, grassmannian(4, 6)):
         basis = space.basis()
         for lam, mu in combinations_with_replacement(basis, 2):
             assert all(quantum_product(lam, mu, space).terms.values()), (space, lam, mu)
 
 
-@pytest.mark.parametrize("space", [grassmannian(3, 5), grassmannian(4, 6), grassmannian(5, 7),
-                                   G25, G36, G37])
+# selfcheck's dual_path and commutativity suites make the same comparison
+# on G(2,5), G(3,6) and G(4,6)
+@pytest.mark.parametrize("space", [grassmannian(3, 5), grassmannian(5, 7), G37])
 def test_tall_products_match_the_expansion_on_the_tall_box(space):
     # quantum_product reads one record per unordered pair, expanded on
     # G(n - m, n) when the space is tall and with the factor of fewer rows as
@@ -448,20 +442,20 @@ def test_class_product_cancels_terms():
 
 
 def test_class_product_checks_the_box_of_each_term():
-    good = QuantumClass.from_partition(G25, (1,))
-    wide = QuantumClass(G25, {(0, (4,)): 1})
-    tall = QuantumClass(G25, {(1, (1, 1, 1)): 2})
-    for left, right, text in (
-        (wide, good, "partition 4 does not fit the 2x3 box of G(2,5)"),
-        (good, wide, "partition 4 does not fit the 2x3 box of G(2,5)"),
-        (wide, tall, "partition 4 does not fit the 2x3 box of G(2,5)"),
-        (tall, wide, "partition 1,1,1 does not fit the 2x3 box of G(2,5)"),
+    # a class checks every term when it is made, zero coefficients too, in
+    # the order given, so a class product never meets a term out of the box
+    for terms, named in (
+        ({(0, _WIDE): 1}, _WIDE),
+        ({(0, (1,)): 1, (0, _WIDE): 0}, _WIDE),
+        ({(0, _WIDE): 1, (1, _TALL): 2}, _WIDE),
+        ({(1, _TALL): 2, (0, _WIDE): 1}, _TALL),
     ):
         with pytest.raises(BoxError) as err:
-            left * right
-        assert str(err.value) == text
-    zero = QuantumClass(G25)
-    assert str(zero * wide) == str(wide * zero) == "0"
+            QuantumClass(G25, terms)
+        assert str(err.value) == _MESSAGES[named]
+    with pytest.raises(BoxError) as err:
+        QuantumClass.from_partition(G25, _TALL)
+    assert str(err.value) == _MESSAGES[_TALL]
 
 
 _WIDE, _TALL, _GOOD = (4,), (1, 1, 1), (2, 1)  # on G(2,5): too long a row, too many rows, in the box
@@ -482,9 +476,11 @@ def _out_of_box_products():
         (lambda: quantum_product(_TALL, _GOOD, G25), _TALL),
         (lambda: quantum_product(_WIDE, _TALL, G25), _WIDE),  # read as the pair (tall, wide)
         (lambda: quantum_product(_TALL, _WIDE, G25), _TALL),
+        (lambda: cls(_GOOD, _WIDE), _WIDE),
+        (lambda: cls(_GOOD, _TALL, shift=1), _TALL),
         (lambda: cls(_GOOD, _WIDE) * good, _WIDE),
         (lambda: good * cls(_GOOD, _TALL, shift=1), _TALL),
-        (lambda: cls(_GOOD, _TALL) * cls(_WIDE), _TALL),  # the first pair read fails on wide
+        (lambda: cls(_GOOD, _TALL) * cls(_WIDE), _TALL),  # the left factor is made first
         (lambda: cls(_WIDE) * cls(_TALL), _WIDE),
         (lambda: cls(_TALL) * cls(_GOOD, _WIDE), _TALL),
     ]
@@ -492,12 +488,10 @@ def _out_of_box_products():
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_an_out_of_box_class_raises_at_each_position_of_a_product(warm):
-    # the box is checked where a record is built; a record is never built
-    # for a class out of the box, so the check holds warm as cold and names
-    # the class that checking every class first would name.  Warm, every
-    # in-box record is cached already and a failed call caches nothing; cold,
-    # a class product caches the in-box pairs it reads before failing (any
-    # later call would), and a repeated failure caches nothing more.
+    # a pair is checked where its record is built, and a class where it is
+    # made, left factor before right, so a product never starts on a class
+    # out of the box: the error names the first class out of the box, warm
+    # as cold, and a failed call caches nothing.
     for call, named in _out_of_box_products():
         clear_cache()
         if warm:
@@ -510,17 +504,18 @@ def test_an_out_of_box_class_raises_at_each_position_of_a_product(warm):
                 call()
             assert str(err.value) == _MESSAGES[named]
             sizes.append(_product_terms.cache_info().currsize)
-        assert (sizes == [size, size]) if warm else (sizes[0] == sizes[1])
+        assert sizes == [size, size]
 
 
 def test_an_isotropic_product_raises_unsupported_family_first():
+    # at the product for a pair, at construction for a class, before any box
     for space in (parse_space("IG(2,6)"), parse_space("OG(2,7)")):
-        left = QuantumClass(space, {(0, (9, 9)): 1})
-        right = QuantumClass(space, {(0, (1,)): 1, (1, (1, 1, 1)): -1})
         size = _product_terms.cache_info().currsize
         for call in (lambda: quantum_product((1,), (9, 9), space),
                      lambda: quantum_product((1, 1, 1), (1,), space),
-                     lambda: left * right, lambda: right * left):
+                     lambda: QuantumClass(space, {(0, (9, 9)): 1}),
+                     lambda: QuantumClass(space, {(0, (1,)): 1, (1, (1, 1, 1)): -1}),
+                     lambda: QuantumClass(space), lambda: QuantumClass.unit(space)):
             with pytest.raises(UnsupportedFamilyError) as err:
                 call()
             assert str(err.value) == "isotropic quantum products out of scope"
@@ -578,14 +573,77 @@ def test_changing_a_product_changes_no_record():
     for x, y in ((s21, s1), (s21 + s1, s1), (QuantumClass(G25, {(1, (2, 1)): 1}), s1)):
         records = {pair: dict(_product_terms(*pair, G25)) for pair in (((1,), (1,)), ((1,), (2, 1)))}
         first = x * y
-        expected = dict(first.terms)
+        expected = first.terms
         first.terms[(0, (3, 2))] = 7
         first.terms.pop(next(iter(expected)))
+        assert first.terms == expected  # `terms` is a new dict on each read
         for pair, record in records.items():
             assert _product_terms(*pair, G25) == record
         assert (x * y).terms == expected
     with pytest.raises(AttributeError):  # slotted: a class holds its space and terms alone
         s1.extra = 1
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_the_numbering_is_the_position_in_tuple_order(m):
+    # every box with m rows and 1..7 columns (G(m, m) is no space; its box
+    # holds the one class s[0], of rank 0); then, from empty memos, as for a
+    # class that outlived clear_cache, each int is read back in closed form
+    for cols in range(1, 8):
+        space = grassmannian(m, m + cols)
+        names = sorted(enumerate_box(m, cols))
+        clear_cache()
+        numbering = quantum._NUMBERINGS[space]
+        assert numbering.size == len(names)
+        assert [numbering[p] for p in names] == list(range(len(names))), space
+        clear_cache()
+        numbering = quantum._NUMBERINGS[space]
+        terms = [(d, p) for d in range(3) for p in names]
+        assert [numbering[t] for t in range(len(terms))] == terms, space
+    clear_cache()
+
+
+@pytest.mark.parametrize("space", [grassmannian(3, 8), grassmannian(5, 8)])
+def test_the_numbering_is_indexed_tables(space):
+    keys, _ = quantum.indexed_table(space)
+    numbering = quantum._NUMBERINGS[space]
+    assert [d * numbering.size + numbering[p] for d, p in keys] == list(range(len(keys)))
+
+
+def test_no_space_lists_its_basis_to_multiply(monkeypatch):
+    # G(20,40) has C(40, 20) = 137,846,528,820 classes
+    def unlisted(*args):
+        raise AssertionError("a basis was listed")
+
+    for module in (partitions, spaces):
+        monkeypatch.setattr(module, "enumerate_box", unlisted)
+    monkeypatch.setattr(Grassmannian, "basis", unlisted)
+    space = grassmannian(20, 40)
+    s1 = QuantumClass.from_partition(space, (1,))
+    assert quantum_product((1,), (1,), space).terms == {(0, (2,)): 1, (0, (1, 1)): 1}
+    shifted = QuantumClass(space, {(1, (1,)): 2}) * s1
+    assert shifted.terms == {(1, (2,)): 2, (1, (1, 1)): 2}
+    assert str(s1 * s1 * s1) == "s[1,1,1] + 2*s[2,1] + s[3]"
+    assert gw_3point(space, (1,), (1,), space.dual((2,)), 0) == 1
+    assert gw_3point(space, (1,), (1,), space.dual((1, 1)), 0) == 1
+
+
+def test_a_partition_out_of_the_box_reads_no_other_term():
+    # on G(2,5) the closed form would give s[4] the rank C(5, 3) = 10 =
+    # C(5, 2): the int of q s[0]
+    cls = QuantumClass(G25, {(1, ()): 3, (0, (1,)): 2})
+    assert cls.coefficient(1, ()) == 3 and cls.coefficient(0, (1,)) == 2
+    assert cls.coefficient(0, (4,)) == 0 and cls.coefficient(0, (1, 1, 1)) == 0
+    assert cls.q_part(0) == {(1,): 2} and cls.q_part(1) == {(): 3}
+    assert quantum._NUMBERINGS[G25][10] == (1, ())
+
+
+def test_a_class_outlives_clear_cache():
+    x = QuantumClass(G37, {(1, (2, 1)): 2, (0, (3, 3, 1)): -1})
+    terms, square, text = x.terms, x * x, str(x)
+    clear_cache()
+    assert (x.terms, str(x)) == (terms, text)
+    assert x * x == square
 
 
 def test_quantum_class_rendering():
