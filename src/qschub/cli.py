@@ -12,7 +12,7 @@ always carry identical data.  qtable alone streams: its payload holds the
 Pieri table on basis indices as indexed_table yields it, and each row is
 written in either encoding as soon as it is built, in the bytes the whole
 document would have had, so its two encodings carry identical data too.
-The text of each term (q power and partition) is built once per table, and
+Each term's text is built once per space, by quantum's one renderer, and
 each entry's terms already come in the order they print.  Nothing is
 written to disk unless --json -o PATH is given, and PATH is opened only
 after the command's limits have been checked.  main, the entry of a qschub
@@ -26,7 +26,6 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from math import log10
-from operator import itemgetter
 
 from .counting import CountProblem, rational_curve_count
 from .errors import (
@@ -41,7 +40,7 @@ from .gromov_witten import DIVISOR, GWQuery, gw_3point, gw_spoint
 from .lr import lr_coefficient
 from .partitions import Partition, format_partition, parse_partition, weight
 from .plane_curves import kontsevich_nd, nd_values
-from .quantum import QuantumClass, format_terms, indexed_table, quantum_product
+from .quantum import _TEXTS, QuantumClass, format_terms, indexed_table, quantum_product
 from .spaces import Grassmannian, parse_space
 
 SCHEMA_VERSION = 1
@@ -199,14 +198,11 @@ def _require_power_digits(args, classes: tuple[Partition, ...]) -> None:
 
 
 def _terms_json(qc: QuantumClass) -> list[dict]:
+    """A class's JSON terms; json.dumps calls it for a class in a payload."""
     return [
         {"q": d, "partition": format_partition(p), "coeff": c}
         for d, p, c in qc.sorted_terms()
     ]
-
-
-# a JSON term as the (q power, partition text, coefficient) triple format_terms takes
-_TERM_FIELDS = itemgetter("q", "partition", "coeff")
 
 
 # -- command handlers: each returns (payload, space, exit_code) ------------
@@ -274,7 +270,7 @@ def _cmd_lr(args):
 
 def _cmd_qmul(args):
     space, (lam, mu) = _space_and_classes(args, [args.lam, args.mu])
-    return {"terms": _terms_json(quantum_product(lam, mu, space))}, space, 0
+    return {"terms": quantum_product(lam, mu, space)}, space, 0
 
 
 def _cmd_qtable(args):
@@ -284,55 +280,51 @@ def _cmd_qtable(args):
     return {"table": indexed_table(space)}, space, 0
 
 
-def _qtable_text(table) -> Iterator[str]:
+def _qtable_text(space: Grassmannian, rows) -> Iterator[str]:
     """The text lines of indexed_table's rows, one chunk per row, each
-    entry's terms in the order they come.  Each term's text with
-    coefficient 1 is built once per table; format_terms writes the others."""
-    keys, rows = table
-    names = [format_partition(p) for _, p in keys]
-    plain = [format_terms([(d, name, 1)]) for (d, _), name in zip(keys, names)]
+    entry's terms in the order they come."""
+    texts = _TEXTS[space]
     for lam, row in rows:
-        left = f"s[{names[lam]}] * s["
+        left = f"s[{texts[lam][0]}] * s["
         yield "".join(
-            f"{left}{names[mu]}] = " + (" + ".join([
-                plain[t] if c == 1 else format_terms([(keys[t][0], names[t], c)])
-                for t, c in terms.items()
-            ]) or "0") + "\n"
+            f"{left}{texts[mu][0]}] = {format_terms(space, terms.items())}\n"
             for mu, terms in row.items()
         )
 
 
-def _qtable_json(table) -> Iterator[str]:
+def _qtable_json(space: Grassmannian, rows) -> Iterator[str]:
     """The JSON list of indexed_table's rows, one chunk per row, in the
     bytes json.dumps(doc, indent=2) writes for the list at depth 2 of the
     document: its entries at depth 3, their terms at depth 5, in the order
-    they come.  Each term's text up to its coefficient, and its whole text
-    with coefficient 1, is built once per table.  Partition text is digits
-    and commas, which JSON does not escape.
+    they come.  Each term's text with coefficient 1 is built once per table,
+    from the partition texts of quantum's term memo; the rare other
+    coefficients are written in full.  Partition text is digits and commas,
+    which JSON does not escape.
 
     The template is written by hand because json.dumps is about 8 times
     slower here: the byte-identical form that dumps each entry with
     json.dumps(entry, indent=2), re-indented, takes 462-496 ms on G(4,9)
     against 56-59 ms, and 61-67 ms on G(5,8) against 7-8 ms (at commit
     09d445c, in process, table build included, best of 7; 2 vCPUs, Python
-    3.11.7).  A shared renderer for quantum classes should keep this
-    template."""
-    keys, rows = table
-    names = [format_partition(p) for _, p in keys]
-    heads = [f'{{\n            "q": {d},\n            "partition": "{name}",\n            "coeff": '
-             for (d, _), name in zip(keys, names)]
-    plain = [f"{head}1\n          }}" for head in heads]
+    3.11.7).  So the one renderer of quantum classes, format_terms, writes
+    text alone, and this template keeps the JSON."""
+    texts, size = _TEXTS[space], space.basis_size()
+
+    def term(t: int, c: int) -> str:
+        return (f'{{\n            "q": {t // size},\n            "partition": "{texts[t][0]}",\n'
+                f'            "coeff": {c}\n          }}')
+
+    # |p| + d n = |lam| + |mu| <= 2 m (n - m) bounds the q power d of every term
+    ones = [term(t, 1) for t in range(size * (2 * space.m * space.box_cols // space.n + 1))]
     opening = "[\n      "
     for lam, row in rows:
-        left = f'{{\n        "left": "{names[lam]}",\n        "right": "'
+        left = f'{{\n        "left": "{texts[lam][0]}",\n        "right": "'
         entries = []
         for mu, terms in row.items():
-            body = ",\n          ".join([
-                plain[t] if c == 1 else f"{heads[t]}{c}\n          }}"
-                for t, c in terms.items()
-            ])
-            body = f"[\n          {body}\n        ]" if body else "[]"
-            entries.append(f'{left}{names[mu]}",\n        "terms": {body}\n      }}')
+            right = texts[mu][0]
+            body = ",\n          ".join([ones[t] if c == 1 else term(t, c) for t, c in terms.items()])
+            entries.append(f'{left}{right}",\n        "terms": [\n          {body}\n        ]\n      }}'
+                           if body else f'{left}{right}",\n        "terms": []\n      }}')
         yield opening + ",\n      ".join(entries)
         opening = ",\n      "
     yield "[]" if opening.startswith("[") else "\n    ]"
@@ -417,7 +409,7 @@ _TEXT_RENDERERS = {
     "info": _render_info,
     "basis": lambda payload: list(payload["partitions"]),
     "lr": lambda payload: [str(payload["coefficient"])],
-    "qmul": lambda payload: [format_terms(map(_TERM_FIELDS, payload["terms"]))],
+    "qmul": lambda payload: [str(payload["terms"])],
     "gw": lambda payload: [str(payload["value"])],
     "count": lambda payload: [
         f"GW = {payload['gw']}, r = {payload['r']}, curves = {payload['count']}"
@@ -451,7 +443,7 @@ def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
     streamed = args.command == "qtable"
     if not args.json:
         if streamed:
-            yield from _qtable_text(payload["table"])
+            yield from _qtable_text(space, payload["table"])
         else:
             yield "".join(line + "\n" for line in render_text(args.command, payload))
         return
@@ -463,11 +455,11 @@ def _encode(args, payload: dict, space: Grassmannian | None) -> Iterator[str]:
         "space": space.to_json() if space is not None else None,
         "result": {"rows": []} if streamed else payload,
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, default=_terms_json) + "\n"
     if streamed:
         head, tail = text.split('"rows": []')
         yield head + '"rows": '
-        yield from _qtable_json(payload["table"])
+        yield from _qtable_json(space, payload["table"])
         yield tail
     else:
         yield text

@@ -16,12 +16,12 @@ a horizontal strip of size n - m - p, every coefficient 1.  Each list is
 built straight from its strip bounds, lam_i <= mu_i <= min(lam_(i-1), n - m)
 and lam_(i+1) - 1 <= nu_i <= lam_i - 1, in basis order.  Each row is built
 from Pieri steps alone, which is cheap for a whole row but pulls in most of
-a row for one product.  The table numbers its basis once, to the ints
-below, and lists each entry's terms in ascending order; each row computes
-only the products with classes at or after its own in basis order, and
-takes the rest from the rows before it, since products commute.  Rows are
-yielded one at a time so that a table is rendered as it is built.  The two
-paths share no code, and selfcheck compares them on every pair it visits.
+a row for one product.  The table numbers its basis as classes do, by the
+ints below, and lists each entry's terms in ascending order; each row
+computes only the products with classes at or after its own in basis order,
+and takes the rest from the rows before it, since products commute.  Rows
+are yielded one at a time so that a table is rendered as it is built.  The
+two paths share no code, and selfcheck compares them on every pair it visits.
 
 A single product is read from the product of the lightest classes of its
 factors' Seidel orbits.  Quantum Pieri gives s[n-m] * s[lam] a single term,
@@ -50,6 +50,8 @@ and the ints sort as the pairs (d, p) do.  _NUMBERINGS memoizes it per space,
 both ways.  A class is box-checked when made: s[4] on G(2,5) would alias
 q s[0] (t = 10).  Its ints never change, so a warm quantum_product holds the
 cached record itself, and QuantumClass.terms decodes a new dict per read.
+format_terms writes every class's text from its ints, each int's text made
+once per space (_TEXTS).
 
 Products commute, so s[lam] * s[mu] and s[mu] * s[lam] are one cached
 record, and _product_terms alone knows its order: a record is read in either
@@ -137,6 +139,9 @@ class _Numbering(dict):
 
     __slots__ = ("m", "size")  # m and C(n, m)
 
+    def __init__(self, space: Grassmannian):
+        self.m, self.size = space.m, comb(space.n, space.m)
+
     def __missing__(self, key: Partition | int):
         if isinstance(key, tuple):
             rank = self[key] = sum(comb(self.m - 1 - i + x, x - 1) for i, x in enumerate(key))
@@ -155,16 +160,39 @@ class _Numbering(dict):
         return term
 
 
-class _Numberings(dict):
-    """{space: its _Numbering}, filled on a miss."""
+class _Texts(dict):
+    """One space's term texts, filled on a miss: self[t] is (p's text, the
+    text of q**d s[p] with coefficient 1) for the int t of that term, e.g.
+    ("2,1", "q*s[2,1]"), and ("0", "1") for the unit, t = 0."""
 
-    def __missing__(self, space: Grassmannian) -> _Numbering:
-        numbering = self[space] = _Numbering()
-        numbering.m, numbering.size = space.m, comb(space.n, space.m)
-        return numbering
+    __slots__ = ("numbering",)
+
+    def __init__(self, space: Grassmannian):
+        self.numbering = _NUMBERINGS[space]
+
+    def __missing__(self, t: int) -> tuple[str, str]:
+        d, r = divmod(t, self.numbering.size)
+        name = self[r][0] if d else format_partition(self.numbering[t][1])
+        power = "" if not d else "q*" if d == 1 else f"q^{d}*"
+        text = self[t] = (name, f"{power}s[{name}]" if r else f"{power}1")
+        return text
 
 
-_NUMBERINGS = _Numberings()
+class _PerSpace(dict):
+    """{space: its memo}, each made on a miss."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, memo: type):
+        self.memo = memo
+
+    def __missing__(self, space: Grassmannian):
+        memo = self[space] = self.memo(space)
+        return memo
+
+
+_NUMBERINGS = _PerSpace(_Numbering)
+_TEXTS = _PerSpace(_Texts)
 
 
 class QuantumClass:
@@ -261,7 +289,7 @@ class QuantumClass:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return format_terms((d, format_partition(p), c) for d, p, c in self.sorted_terms())
+        return format_terms(self.space, sorted(self._terms.items()))
 
 
 def _wrap(space: Grassmannian, terms: dict[int, int]) -> QuantumClass:
@@ -271,24 +299,14 @@ def _wrap(space: Grassmannian, terms: dict[int, int]) -> QuantumClass:
     return self
 
 
-def format_terms(terms: Iterable[tuple[int, str, int]]) -> str:
-    """The text form of a class from its (q power, partition text,
-    coefficient) terms, e.g. "s[2,2] + q*1"; "0" when there are none."""
-    pieces = []
-    for d, p, c in terms:
-        factors = []
-        if c != 1:
-            factors.append(str(c))
-        if d == 1:
-            factors.append("q")
-        elif d > 1:
-            factors.append(f"q^{d}")
-        if p != "0":
-            factors.append(f"s[{p}]")
-        elif d > 0:
-            factors.append("1")  # the unit stays visible next to q
-        pieces.append("*".join(factors) if factors else "1")
-    return " + ".join(pieces) or "0"
+def format_terms(space: Grassmannian, terms: Iterable[tuple[int, int]]) -> str:
+    """The text of a class on the space from its (int term, coefficient)
+    pairs, in the order given, e.g. "s[2,2] + q*1"; "0" when there are none.
+    The unit alone is written as its coefficient; next to q it stays "1"."""
+    texts = _TEXTS[space]
+    return " + ".join([
+        texts[t][1] if c == 1 else f"{c}*{texts[t][1]}" if t else str(c) for t, c in terms
+    ]) or "0"
 
 
 def _lightest(lam: Partition, m: int, n: int) -> tuple[Partition, int]:
@@ -455,6 +473,20 @@ def _pieri_quantum_shapes(lam: Partition, rows: int, target: int) -> Iterator[Pa
     return _shapes_between([x - 1 for x in lam[1:rows]] + [0], [x - 1 for x in lam[:rows]], target)
 
 
+def _pieri_terms(p: int, lam: Partition, space: Grassmannian) -> list[int]:
+    """The int terms of s[p] * s[lam] by Bertram's rule, each of coefficient
+    1, with no box check: the classical list, then the q list, each in basis
+    order (see quantum_pieri)."""
+    _, m, n = space
+    numbering = _NUMBERINGS[space]
+    target = weight(lam) + p
+    terms = [numbering[mu] for mu in _pieri_classical_shapes(lam, m, n - m, target)]
+    if target >= n:
+        terms += [numbering.size + numbering[nu]
+                  for nu in _pieri_quantum_shapes(lam, m, target - n)]
+    return terms
+
+
 def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     """Quantum product of the special class s[p] (a single row) with s[lam]
     by Bertram's rule, two lists of horizontal strips with coefficient 1:
@@ -464,81 +496,53 @@ def quantum_pieri(p: int, lam: Partition, space: Grassmannian) -> QuantumClass:
     if not 1 <= p <= space.box_cols:
         raise ValueError(f"row length {p} out of range 1..{space.box_cols} for {space.notation}")
     space.require_in_box(lam)
-    _, m, n = space
-    target = weight(lam) + p
-    numbering = _NUMBERINGS[space]
-    terms = {numbering[mu]: 1 for mu in _pieri_classical_shapes(lam, m, n - m, target)}
-    if target >= n:
-        quantum = _pieri_quantum_shapes(lam, m, target - n)
-        terms.update((numbering.size + numbering[nu], 1) for nu in quantum)
-    return _wrap(space, terms)
+    return _wrap(space, dict.fromkeys(_pieri_terms(p, lam, space), 1))
 
 
-def indexed_table(space: Grassmannian) -> tuple[
-    list[tuple[int, Partition]], Iterator[tuple[int, dict[int, dict[int, int]]]]
-]:
-    """Every product s[lam] * s[mu] of two basis classes, on basis indices,
-    as (keys, rows).  The basis is numbered once, in partition order, and the
-    term q**d * s[p] is the int t = d * size + (p's index), with size the
-    basis size: keys[t] is (d, p), and the ints sort as those pairs do.  A
-    class's index is its q**0 term, so keys[j] is (0, the class).  rows
-    yields one (lam's index, {mu's index: {t: nonzero coefficient}}) per
-    basis class lam, lam and the mu of each row in basis order, and each
-    entry's terms t ascending, the order in which they print.  Off the
-    diagonal, an entry is the very dict that the other row holds for the
-    same unordered pair, so it is sorted once, and callers read entries and
-    never change them.
+def indexed_table(space: Grassmannian) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
+    """Every product s[lam] * s[mu] of two basis classes, on the space's
+    numbering (see the module docstring): one (lam's int, {mu's int: {t:
+    nonzero coefficient}}) per basis class lam, lam and the mu of each row
+    in basis order, and each entry's terms t ascending, the order in which
+    they print.  A class's int is its q**0 term.  Off the diagonal, an
+    entry is the very dict that the other row holds for the same unordered
+    pair, so it is sorted once, and callers read entries and never change
+    them.
 
     The rows come from quantum Pieri alone (Bertram).  With mu = (a, rest),
     Pieri gives s[a] * s[rest] = s[mu] + (classes of the same weight with
     first row > a) + q * (classes of lower weight), so with mu by weight,
     then by first row descending, the entry for mu is s[a] * (s[lam] *
     s[rest]) minus s[lam] times the other terms of s[a] * s[rest].  Every
-    Pieri coefficient is 1, so each Pieri product is memoized as the tuple
-    of its term ints, read from quantum_pieri's two shape lists with no
-    QuantumClass and no box check.  Products commute, so row lam computes
-    only the mu at or after lam in basis order; the entry it computes for a
-    later mu waits in a store until row mu starts, where it is the entry for
-    lam.  When the k-th row (from 0) starts, the store holds k * (size - k)
-    entries, at most a quarter of the table.  The memo and the store live and die with
-    one call.  It runs neither LR nor rim-hook reduction, so it and
+    Pieri coefficient is 1, so each Pieri product is memoized as the list
+    of its term ints, quantum_pieri's terms with no QuantumClass and no box
+    check.  Products commute, so row lam computes only the mu at or after
+    lam in basis order; the entry it computes for a later mu waits in a
+    store until row mu starts, where it is the entry for lam.  When the k-th
+    row (from 0) starts, the store holds k * (size - k) entries, at most a
+    quarter of the table.  The memo and the store live and die with one
+    call.  It runs neither LR nor rim-hook reduction, so it and
     quantum_product check each other."""
-    m, n = space.m, space.n
-    basis = space.basis()  # by weight, then by first row descending
-    names = sorted(basis)
-    # weight(nu) + d * n = |lam| + |mu| <= 2 m (n - m) bounds every q power
-    keys = [(d, p) for d in range(2 * m * (n - m) // n + 1) for p in names]
-    return keys, _indexed_rows(space, basis, names)
+    return _indexed_rows(space, space.basis())  # by weight, then by first row descending
 
 
-def _indexed_rows(space, basis, names):
+def _indexed_rows(space, basis):
     _, m, n = space
-    size = len(names)
-    index = {p: j for j, p in enumerate(names)}
-    memo = [[None] * size for _ in range(n - m + 1)]  # memo[a][j]: s[a] * s[names[j]]
-
-    def pieri(a: int, j: int) -> tuple[int, ...]:
-        """s[a] * s[names[j]] as quantum_pieri's terms, each as its int."""
-        lam = names[j]
-        target = weight(lam) + a
-        found = [index[mu] for mu in _pieri_classical_shapes(lam, m, n - m, target)]
-        if target >= n:
-            found += [size + index[nu] for nu in _pieri_quantum_shapes(lam, m, target - n)]
-        found = memo[a][j] = tuple(found)
-        return found
-
-    # for each mu past the unit: its index, a, the memo of s[a], rest's index,
-    # and (q power * size, index) for each other term of s[a] * s[rest]
+    numbering = _NUMBERINGS[space]
+    size = numbering.size
+    memo = [[None] * size for _ in range(n - m + 1)]  # memo[a][j]: s[a] times the class j
+    # for each mu past the unit: its int, a, the memo of s[a], rest's int,
+    # and (q power * size, int) for each other term of s[a] * s[rest]
     steps = []
     for mu in basis[1:]:
-        own, a, rest = index[mu], mu[0], index[mu[1:]]
-        others = tuple((t - t % size, t % size) for t in pieri(a, rest) if t != own)
+        own, a, rest = numbering[mu], mu[0], numbering[mu[1:]]
+        found = memo[a][rest] = _pieri_terms(a, mu[1:], space)
+        others = tuple((t - t % size, t % size) for t in found if t != own)
         steps.append((own, a, memo[a], rest, others))
-    unit = index[()]
-    pending: list = [{} for _ in names]  # pending[j]: row j's entries from earlier rows
-    pending[unit][unit] = {unit: 1}
+    pending: list = [{} for _ in range(size)]  # pending[j]: row j's entries from earlier rows
+    pending[0][0] = {0: 1}  # the unit, s[0] times itself
     for i, lam in enumerate(basis):
-        j = index[lam]
+        j = numbering[lam]
         row, pending[j] = pending[j], None
         for own, a, memo_a, rest, others in steps[max(i - 1, 0):]:
             terms: dict[int, int] = {}
@@ -546,7 +550,7 @@ def _indexed_rows(space, basis, names):
                 k = t % size
                 products = memo_a[k]
                 if products is None:
-                    products = pieri(a, k)
+                    products = memo_a[k] = _pieri_terms(a, numbering[k][1], space)
                 for p in products:
                     key = t - k + p
                     terms[key] = terms.get(key, 0) + c
@@ -568,16 +572,18 @@ def product_table(
     mu of each row come in basis order; terms maps (q power, partition) to a
     nonzero coefficient.  It decodes indexed_table's rows one at a time, so
     every yielded dict is new and the caller may keep or change it."""
-    keys, rows = indexed_table(space)
+    rows = indexed_table(space)
+    numbering = _NUMBERINGS[space]
     for j, row in rows:
-        yield keys[j][1], {
-            keys[k][1]: {keys[t]: c for t, c in terms.items()} for k, terms in row.items()
+        yield numbering[j][1], {
+            numbering[k][1]: {numbering[t]: c for t, c in terms.items()} for k, terms in row.items()
         }
 
 
 def clear_cache() -> None:
     _product_terms.cache_clear()
     _NUMBERINGS.clear()
+    _TEXTS.clear()
 
 
 __all__ = [

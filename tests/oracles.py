@@ -21,6 +21,9 @@ one math.comb call per term and every ordered split a + b = d, with no row
 of binomials and no pairing of a with b.
 
 GOLDEN_G24 holds six products of QH*(G(2,4)) worked by hand.
+
+The text of a class is rewritten from its --json terms by the output format
+alone, with none of qschub's term numbering or memos.
 """
 
 from collections import Counter
@@ -214,6 +217,26 @@ GOLDEN_G24 = {
     ((2,), (2,)): {(0, (2, 2)): 1},
     ((2, 2), (2, 2)): {(2, ()): 1},
 }
+
+
+def class_text_oracle(terms):
+    """The text qschub prints for a class, from its --json terms (dicts of
+    "q", "partition" and "coeff", in order): each term is its coefficient
+    unless 1, then q or q^d for d > 0, then s[partition], joined by "*"; the
+    unit s[0] is written 1, and left out when a lone coefficient stands for
+    it.  Terms are joined by " + ", and no terms read "0"."""
+    pieces = []
+    for term in terms:
+        d, p, c = term["q"], term["partition"], term["coeff"]
+        factors = [] if c == 1 else [str(c)]
+        if d:
+            factors.append("q" if d == 1 else f"q^{d}")
+        if p != "0":
+            factors.append(f"s[{p}]")
+        elif d or not factors:
+            factors.append("1")
+        pieces.append("*".join(factors))
+    return " + ".join(pieces) if pieces else "0"
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from qschub.cli import parse_and_dispatch
 
+from oracles import class_text_oracle
+
 
 def run(capsys, *argv):
     code = parse_and_dispatch(list(argv))
@@ -586,11 +588,8 @@ def qtable_by_payload(space, as_json):
 
 def qtable_text(rows):
     """The text qtable prints for the rows of its decoded --json document."""
-    from qschub.quantum import format_terms
-
     return "".join(
-        f"s[{row['left']}] * s[{row['right']}] = "
-        f"{format_terms((t['q'], t['partition'], t['coeff']) for t in row['terms'])}\n"
+        f"s[{row['left']}] * s[{row['right']}] = {class_text_oracle(row['terms'])}\n"
         for row in rows
     )
 
@@ -697,8 +696,12 @@ def test_json_and_text_encode_identical_data(capsys, argv):
     json_code, json_out, _ = run(capsys, *argv, "--json")
     assert text_code == json_code
     doc = json.loads(json_out)
-    if doc["command"] == "qtable":  # streamed, so the CLI keeps no renderer for the document
+    # qtable is streamed and qmul's payload holds the class, so the CLI keeps
+    # no renderer for either document: both are rebuilt by the oracle
+    if doc["command"] == "qtable":
         rebuilt = qtable_text(doc["result"]["rows"])
+    elif doc["command"] == "qmul":
+        rebuilt = class_text_oracle(doc["result"]["terms"]) + "\n"
     else:
         rebuilt = "".join(line + "\n" for line in render_text(doc["command"], doc["result"]))
     assert rebuilt == text_out
